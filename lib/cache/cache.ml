@@ -14,6 +14,7 @@ type t = {
   rng : Mppm_util.Rng.t option;  (* Random policy only *)
   partition : int array option;  (* way quotas per owner *)
   owners : int array array option;  (* per-set owners, parallel to recency *)
+  census : int array;  (* victim-search scratch: valid lines per owner *)
   mutable accesses : int;
   mutable hits : int;
   mutable misses : int;
@@ -49,6 +50,8 @@ let create ?(policy = Replacement.Lru) ?partition geometry =
       | _ -> None);
     partition = Option.map Array.copy partition;
     owners = (match partition with Some _ -> Some (make_tags ()) | None -> None);
+    census =
+      Array.make (match partition with Some q -> Array.length q | None -> 0) 0;
     accesses = 0;
     hits = 0;
     misses = 0;
@@ -58,19 +61,20 @@ let geometry t = t.geometry
 
 (* Toplevel so the per-access search allocates no closure; tags are ints,
    so the comparison is monomorphic. *)
-(* mppm: unit _ -- way position option of a tag probe *)
-let rec scan_set set fill tag i =
-  if i >= fill then None
-  else if Int.equal set.(i) tag then Some i
+(* mppm: unit ways -- way position of a tag probe, -1 when absent *)
+let rec scan_set (set : int array) fill tag i =
+  if i >= fill then -1
+  else if Int.equal set.(i) tag then i
   else scan_set set fill tag (i + 1)
 
-(* mppm: unit _ -- way position option of a tag probe *)
+(* mppm: unit ways -- way position of a tag probe, -1 when absent *)
 let find_in_set set fill tag = scan_set set fill tag 0
 
 (* Shift a.(0..len-1) down one slot and place [v] at the front.  A manual
    loop beats Array.blit at these sizes (<= 16 elements) and this is the
-   simulator's innermost operation. *)
-let shift_down_and_front a len v =
+   simulator's innermost operation.  Monomorphic, so the stores are plain
+   int writes with no write barrier. *)
+let shift_down_and_front (a : int array) len v =
   for i = len - 1 downto 1 do
     a.(i) <- a.(i - 1)
   done;
@@ -99,10 +103,9 @@ let rec deepest_from owners_row counts quotas owner kind from =
   else deepest_from owners_row counts quotas owner kind (from - 1)
 
 (* mppm: unit ways -- victim recency position *)
-let partition_victim owners_row ways quotas owner =
+let partition_victim owners_row counts ways quotas owner =
   let n_owners = Array.length quotas in
-  (* lint: allow P1 per-victim owner census; partitioned mode only (fig 6) *)
-  let counts = Array.make n_owners 0 in
+  Array.fill counts 0 n_owners 0;
   for i = 0 to ways - 1 do
     let o = owners_row.(i) in
     if o >= 0 && o < n_owners then counts.(o) <- counts.(o) + 1
@@ -118,9 +121,21 @@ let partition_victim owners_row ways quotas owner =
       let pos = deepest_from owners_row counts quotas owner 2 (ways - 1) in
       if pos >= 0 then pos else ways - 1
 
-let access_as t ~owner addr =
-  let set_idx = Geometry.set_index t.geometry addr in
-  let tag = Geometry.tag t.geometry addr in
+(* Fill [tag] at the front of a full set, dropping the line at recency
+   position [victim_pos]. *)
+(* mppm: unit _ -- in-place set update *)
+let insert t set_idx set tag owner victim_pos =
+  shift_down_and_front set (victim_pos + 1) tag;
+  match t.owners with
+  | Some owners -> shift_down_and_front owners.(set_idx) (victim_pos + 1) owner
+  | None -> ()
+
+(* mppm: unit ways -- LRU depth of a hit, 0 on a miss *)
+let lookup_as t ~owner addr =
+  (* [Geometry.tag] and [Geometry.set_index], spelled out: a call across
+     the module boundary per lookup is measurable here. *)
+  let tag = addr lsr t.geometry.Geometry.set_shift in
+  let set_idx = tag land t.geometry.Geometry.set_mask in
   let set = t.recency.(set_idx) in
   let fill = t.fill.(set_idx) in
   t.accesses <- t.accesses + 1;
@@ -129,52 +144,43 @@ let access_as t ~owner addr =
       if owner < 0 || owner >= Array.length quotas then
         invalid_arg "Cache.access_as: owner outside the partition"
   | None -> ());
-  match find_in_set set fill tag with
-  | Some pos ->
-      t.hits <- t.hits + 1;
-      let tag = set.(pos) in
-      shift_down_and_front set (pos + 1) tag;
+  let pos = find_in_set set fill tag in
+  if pos >= 0 then begin
+    t.hits <- t.hits + 1;
+    shift_down_and_front set (pos + 1) tag;
+    (match t.owners with
+    | Some owners ->
+        let row = owners.(set_idx) in
+        shift_down_and_front row (pos + 1) row.(pos)
+    | None -> ());
+    pos + 1
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    let ways = t.geometry.Geometry.associativity in
+    if fill < ways then begin
+      (* Grow the valid prefix: shift it down, new tag in front. *)
+      shift_down_and_front set (fill + 1) tag;
+      t.fill.(set_idx) <- fill + 1;
       (match t.owners with
-      | Some owners ->
-          let row = owners.(set_idx) in
-          let o = row.(pos) in
-          shift_down_and_front row (pos + 1) o
+      | Some owners -> shift_down_and_front owners.(set_idx) (fill + 1) owner
       | None -> ());
-      Hit (pos + 1)
-  | None ->
-      t.misses <- t.misses + 1;
-      let ways = t.geometry.Geometry.associativity in
-      if fill < ways then begin
-        (* Grow the valid prefix: shift it down, new tag in front. *)
-        shift_down_and_front set (fill + 1) tag;
-        t.fill.(set_idx) <- fill + 1;
-        (match t.owners with
-        | Some owners -> shift_down_and_front owners.(set_idx) (fill + 1) owner
-        | None -> ());
-        (match t.age_order with
-        | Some ages -> ages.(set_idx).(fill) <- tag
-        | None -> ());
-        Miss
-      end
-      else begin
-        (* lint: allow P1 one insert closure per miss; shared across the four replacement arms *)
-        let insert victim_pos =
-          shift_down_and_front set (victim_pos + 1) tag;
-          match t.owners with
-          | Some owners ->
-              shift_down_and_front owners.(set_idx) (victim_pos + 1) owner
-          | None -> ()
-        in
-        (match (t.partition, t.policy) with
+      match t.age_order with
+      | Some ages -> ages.(set_idx).(fill) <- tag
+      | None -> ()
+    end
+    else begin
+      let victim_pos =
+        match (t.partition, t.policy) with
         | Some quotas, _ ->
             let owners_row =
               match t.owners with Some o -> o.(set_idx) | None -> assert false
             in
-            insert (partition_victim owners_row ways quotas owner)
-        | None, Replacement.Lru -> insert (ways - 1)
+            partition_victim owners_row t.census ways quotas owner
+        | None, Replacement.Lru -> ways - 1
         | None, Replacement.Random _ ->
             let rng = match t.rng with Some r -> r | None -> assert false in
-            insert (Mppm_util.Rng.int rng ways)
+            Mppm_util.Rng.int rng ways
         | None, Replacement.Fifo ->
             let ages =
               match t.age_order with Some a -> a.(set_idx) | None -> assert false
@@ -184,21 +190,27 @@ let access_as t ~owner addr =
             let victim_tag = ages.(0) in
             Array.blit ages 1 ages 0 (ways - 1);
             ages.(ways - 1) <- tag;
-            let victim_pos =
-              match find_in_set set fill victim_tag with
-              | Some p -> p
-              | None -> assert false
-            in
-            insert victim_pos);
-        Miss
-      end
+            let pos = find_in_set set fill victim_tag in
+            assert (pos >= 0);
+            pos
+      in
+      insert t set_idx set tag owner victim_pos
+    end;
+    0
+  end
+
+(* mppm: unit ways -- LRU depth of a hit, 0 on a miss *)
+let lookup t addr = lookup_as t ~owner:0 addr
+
+let access_as t ~owner addr =
+  match lookup_as t ~owner addr with 0 -> Miss | depth -> Hit depth
 
 let access t addr = access_as t ~owner:0 addr
 
 let probe t addr =
   let set_idx = Geometry.set_index t.geometry addr in
   let tag = Geometry.tag t.geometry addr in
-  find_in_set t.recency.(set_idx) t.fill.(set_idx) tag <> None
+  find_in_set t.recency.(set_idx) t.fill.(set_idx) tag >= 0
 
 let accesses t = t.accesses
 let hits t = t.hits

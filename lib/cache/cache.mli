@@ -40,6 +40,15 @@ val access_as : t -> owner:int -> int -> outcome  (* mppm: unit outcome *)
     the victim policy described at {!create}.  [owner] must be within the
     partition array when one exists. *)
 
+val lookup : t -> int -> int  (* mppm: unit ways *)
+(** [lookup t addr] is {!access} without the allocation: the 1-based LRU
+    depth of a hit, [0] on a miss, with the same state change. *)
+
+val lookup_as : t -> owner:int -> int -> int  (* mppm: unit ways *)
+(** [lookup_as t ~owner addr] is {!access_as} without the allocation: the
+    1-based LRU depth of a hit, [0] on a miss, with the same state change.
+    {!access_as} is this lookup read back into an {!outcome}. *)
+
 val owner_lines : t -> owner:int -> int  (* mppm: unit sets*ways *)
 (** Number of currently valid lines inserted by [owner] (0 for
     unpartitioned caches unless owner is 0). *)

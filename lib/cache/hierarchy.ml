@@ -53,50 +53,68 @@ let create ?llc ?(llc_owner = 0) ?(perfect_llc = false) config =
 let config t = t.config
 let llc t = t.llc_cache
 
-(* mppm: unit result *)
-let access t ~kind ~addr =
-  (* Two small matches instead of one returning a pair: the L1 split must
-     not allocate on the per-access path. *)
+(* The packed result: the level code in the low two bits, the LLC hit
+   depth above them. *)
+let level_bits = 2
+let l1_code = 0
+let l2_code = 1
+let llc_code = 2
+let memory_code = 3
+
+(* mppm: unit _ -> kind:_ -> addr:_ -> _ *)
+let access_packed t ~kind ~addr =
   let l1 =
     match kind with Fetch -> t.l1i_cache | Load | Store -> t.l1d_cache
   in
-  let l1_latency =
-    match kind with
-    | Fetch -> t.config.l1i.latency
-    | Load | Store -> t.config.l1d.latency
-  in
-  match Cache.access l1 addr with
-  | Cache.Hit _ ->
-      (* lint: allow P1 per-access result record; packed-int results belong to the ROADMAP-2 rewrite *)
-      { latency = l1_latency; hit_level = L1; llc_outcome = None }
-  | Cache.Miss -> (
-      match Cache.access t.l2_cache addr with
-      | Cache.Hit _ ->
-          (* lint: allow P1 per-access result record; see above *)
-          { latency = t.config.l2.latency; hit_level = L2; llc_outcome = None }
-      | Cache.Miss ->
-          t.llc_accesses <- t.llc_accesses + 1;
-          (* A perfect LLC hits on every access and keeps no state. *)
-          let outcome =
-            if t.perfect_llc then Cache.Hit 1
-            else Cache.access_as t.llc_cache ~owner:t.llc_owner addr
-          in
-          (match outcome with
-          | Cache.Hit _ ->
-              (* lint: allow P1 per-access result record; see above *)
-              {
-                latency = t.config.llc.latency;
-                hit_level = Llc;
-                llc_outcome = Some outcome;
-              }
-          | Cache.Miss ->
-              t.llc_misses <- t.llc_misses + 1;
-              (* lint: allow P1 per-access result record; see above *)
-              {
-                latency = t.config.llc.latency + t.config.memory_latency;
-                hit_level = Memory;
-                llc_outcome = Some outcome;
-              }))
+  if Cache.lookup l1 addr > 0 then l1_code
+  else if Cache.lookup t.l2_cache addr > 0 then l2_code
+  else begin
+    t.llc_accesses <- t.llc_accesses + 1;
+    (* A perfect LLC hits on every access and keeps no state. *)
+    let depth =
+      if t.perfect_llc then 1
+      else Cache.lookup_as t.llc_cache ~owner:t.llc_owner addr
+    in
+    if depth > 0 then (depth lsl level_bits) lor llc_code
+    else begin
+      t.llc_misses <- t.llc_misses + 1;
+      memory_code
+    end
+  end
+
+let packed_level packed =
+  match packed land ((1 lsl level_bits) - 1) with
+  | 0 -> L1
+  | 1 -> L2
+  | 2 -> Llc
+  | _ -> Memory
+
+(* mppm: unit ways *)
+let packed_llc_depth packed = packed lsr level_bits
+
+(* mppm: unit cycles *)
+let latency config ~kind = function
+  | L1 -> (
+      match kind with
+      | Fetch -> config.l1i.latency
+      | Load | Store -> config.l1d.latency)
+  | L2 -> config.l2.latency
+  | Llc -> config.llc.latency
+  | Memory -> config.llc.latency + config.memory_latency
+
+(* mppm: unit result *)
+let access t ~kind ~addr =
+  let packed = access_packed t ~kind ~addr in
+  let hit_level = packed_level packed in
+  {
+    latency = latency t.config ~kind hit_level;
+    hit_level;
+    llc_outcome =
+      (match hit_level with
+      | L1 | L2 -> None
+      | Llc -> Some (Cache.Hit (packed_llc_depth packed))
+      | Memory -> Some Cache.Miss);
+  }
 
 let llc_accesses t = t.llc_accesses
 let llc_misses t = t.llc_misses

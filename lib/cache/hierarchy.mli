@@ -56,7 +56,26 @@ val llc : t -> Cache.t
 
 val access : t -> kind:access_kind -> addr:int -> result
 (** Simulates the access through L1 (instruction or data side per [kind]),
-    then L2, then LLC, then memory. *)
+    then L2, then LLC, then memory.  It is {!access_packed} read back into
+    a {!result}. *)
+
+val access_packed : t -> kind:access_kind -> addr:int -> int  (* mppm: unit _ -> kind:_ -> addr:_ -> _ *)
+(** [access_packed t ~kind ~addr] is {!access} without the allocation: the
+    same simulation, with the result packed into an int.  Read it with
+    {!packed_level} and {!packed_llc_depth}. *)
+
+val packed_level : int -> hit_level
+(** Where a packed access was satisfied: the [hit_level] of {!access}. *)
+
+val packed_llc_depth : int -> int  (* mppm: unit ways *)
+(** The 1-based LLC stack depth of a packed access satisfied at [Llc] (1
+    under [perfect_llc]); 0 for every other level.  [llc_outcome] of
+    {!access} is [Some (Hit d)] at [Llc], [Some Miss] at [Memory] and
+    [None] above the LLC. *)
+
+val latency : config -> kind:access_kind -> hit_level -> int  (* mppm: unit cycles *)
+(** [latency config ~kind level] is the [latency] of {!access} for an
+    access of [kind] satisfied at [level]. *)
 
 val llc_accesses : t -> int  (* mppm: unit accesses *)
 (** LLC lookups issued by this core's hierarchy. *)

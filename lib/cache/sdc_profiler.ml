@@ -14,16 +14,14 @@ let create geometry =
 
 
 (* mppm: hot — per-access profiling hook *)
-let record_outcome t outcome =
-  let depth =
-    match outcome with Cache.Hit d -> d | Cache.Miss -> max_int
-  in
+let record_depth t depth =
+  let depth = if Int.equal depth 0 then max_int else depth in
   Sdc.record t.current ~depth;
   Sdc.record t.total ~depth
 
 let access t addr =
   let outcome = Cache.access t.cache addr in
-  record_outcome t outcome;
+  record_depth t (match outcome with Cache.Hit d -> d | Cache.Miss -> 0);
   outcome
 
 let cut_interval t =

@@ -16,10 +16,11 @@ val access : t -> int -> Cache.outcome  (* mppm: unit _ -> _ -> outcome *)
 (** [access t addr] simulates the access, records its depth in the current
     interval, and reports the outcome. *)
 
-val record_outcome : t -> Cache.outcome -> unit  (* mppm: unit _ -> _ -> _ *)
-(** [record_outcome t outcome] histograms an outcome observed on an
-    *external* cache of the same geometry, without touching the internal
-    image.  Used when the profiled cache is simulated elsewhere. *)
+val record_depth : t -> int -> unit  (* mppm: unit _ -> ways -> _ *)
+(** [record_depth t depth] histograms an access observed on an *external*
+    cache of the same geometry, without touching the internal image.  Used
+    when the profiled cache is simulated elsewhere.  [depth] is as
+    {!Cache.lookup} reports it: the 1-based hit depth, [0] for a miss. *)
 
 val cut_interval : t -> Sdc.t  (* mppm: unit sdc *)
 (** [cut_interval t] returns the SDC accumulated since the previous cut

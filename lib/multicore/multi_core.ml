@@ -47,7 +47,47 @@ type core_state = {
 (* Cap for ops of cores that already finished their first pass: keeps the
    step loop cheap without affecting measurement (their per-op block size
    is bounded by the generator's memory gaps anyway). *)
+(* mppm: unit insns *)
 let post_pass_cap = 1 lsl 20
+
+(* The first core with the smallest cycle clock. *)
+(* mppm: unit _ -- core slot *)
+let rec earliest (clocks : Core_engine.clock array) i best =
+  if i >= Array.length clocks then best
+  else
+    earliest clocks (i + 1)
+      (if clocks.(i).Core_engine.cycles < clocks.(best).Core_engine.cycles
+       then i
+       else best)
+
+(* mppm: hot — the detailed simulator's scheduling loop, one op per turn *)
+let schedule cores clocks ~trace_instructions =
+  let unfinished = ref (Array.length cores) in
+  while !unfinished > 0 do
+    (* The core with the smallest cycle clock executes its next op: this
+       orders LLC accesses by (approximate) time. *)
+    let slot = earliest clocks 1 0 in
+    let core = cores.(slot) in
+    let engine = core.engine in
+    let cap =
+      if core.first_pass_done then post_pass_cap
+      else trace_instructions - Core_engine.retired engine
+    in
+    let _retired = Core_engine.step engine ~cap in
+    (* A clock that is not finite would never be the earliest again, and
+       the loop would never end. *)
+    if not (Float.is_finite clocks.(slot).Core_engine.cycles) then
+      invalid_arg "Multi_core.run: a core's cycle clock is not finite";
+    if
+      (not core.first_pass_done)
+      && Core_engine.retired engine >= trace_instructions
+    then begin
+      core.first_pass_done <- true;
+      (* mppm: cold — once per program, when its first pass completes *)
+      core.completion <- Some (Core_engine.snapshot engine);
+      decr unfinished
+    end
+  done
 
 let run ?compute_scales cfg ~programs ~trace_instructions =
   if Array.length programs = 0 then invalid_arg "Multi_core.run: no programs";
@@ -93,35 +133,9 @@ let run ?compute_scales cfg ~programs ~trace_instructions =
         })
       programs
   in
-  let unfinished = ref (Array.length cores) in
-  while !unfinished > 0 do
-    (* The core with the smallest cycle clock executes its next op: this
-       orders LLC accesses by (approximate) time. *)
-    let next = ref (-1) in
-    let best = ref infinity in
-    Array.iteri
-      (fun i core ->
-        let c = Core_engine.cycles core.engine in
-        if c < !best then begin
-          best := c;
-          next := i
-        end)
-      cores;
-    let core = cores.(!next) in
-    let cap =
-      if core.first_pass_done then post_pass_cap
-      else trace_instructions - Core_engine.retired core.engine
-    in
-    let _retired = Core_engine.step core.engine ~cap in
-    if
-      (not core.first_pass_done)
-      && Core_engine.retired core.engine >= trace_instructions
-    then begin
-      core.first_pass_done <- true;
-      core.completion <- Some (Core_engine.snapshot core.engine);
-      decr unfinished
-    end
-  done;
+  schedule cores
+    (Array.map (fun core -> Core_engine.clock core.engine) cores)
+    ~trace_instructions;
   let programs =
     Array.map
       (fun core ->

@@ -36,7 +36,8 @@ val create :
     multiplies every cycle cost {e except} the LLC-miss-attributable stall
     (off-chip latency does not change with core strength).  This matches
     the profile transformation little cores get on the MPPM side: compute
-    cycles scale, memory-stall cycles do not. *)
+    cycles scale, memory-stall cycles do not.  It must be finite and
+    positive: anything else raises [Invalid_argument]. *)
 
 val step : t -> cap:int -> int  (* mppm: unit cap:insns -> insns *)
 (** [step t ~cap] executes the next op block, retiring at most [cap]
@@ -50,8 +51,20 @@ val hierarchy : t -> Mppm_cache.Hierarchy.t
 (** The hierarchy this core drives, e.g. for
     {!Mppm_cache.Hierarchy.counters} observability snapshots. *)
 
+type clock = private {
+  mutable cycles : float;  (** total cycles consumed *)  (* mppm: unit cycles *)
+  mutable memory_stall_cycles : float;  (* mppm: unit cycles *)
+      (** cycles attributed to LLC misses *)
+}
+(** The engine's running cycle counters.  The record is all floats, so it
+    is stored flat and reading a field boxes nothing. *)
+
+val clock : t -> clock
+(** The live clock of a core: a scheduler reads [(clock t).cycles] after
+    every step without boxing, where {!cycles} returns a boxed float. *)
+
 val cycles : t -> float  (* mppm: unit cycles *)
-(** Total cycles consumed. *)
+(** Total cycles consumed: [(clock t).cycles]. *)
 
 val memory_stall_cycles : t -> float  (* mppm: unit cycles *)
 (** Cycles attributed to LLC misses by the counter architecture. *)

@@ -36,16 +36,55 @@ let fetch_stall params (result : Hierarchy.result) =
   | Hierarchy.L2 | Hierarchy.Llc | Hierarchy.Memory ->
       params.fetch_exposure *. extra_latency result
 
-let llc_miss_extra_stall params ~config ~mlp =
-  let llc_latency = config.Hierarchy.llc.latency in
-  let miss_latency = llc_latency + config.Hierarchy.memory_latency in
-  (params.memory_exposure *. float_of_int (miss_latency - 1) /. mlp)
-  -. (params.llc_exposure *. float_of_int (llc_latency - 1) /. mlp)
-
 let fetch_llc_miss_extra_stall params ~config =
   let llc_latency = config.Hierarchy.llc.latency in
   let miss_latency = llc_latency + config.Hierarchy.memory_latency in
   params.fetch_exposure *. float_of_int (miss_latency - llc_latency)
+
+type stall_costs = {
+  data_l2 : float;
+  data_llc_mlp : float;
+  data_memory_mlp : float;
+  miss_memory_mlp : float;
+  miss_llc_mlp : float;
+  fetch_l2 : float;
+  fetch_llc : float;
+  fetch_memory : float;
+  fetch_miss_extra : float;
+}
+
+let stall_costs params ~config =
+  let at hit_level latency =
+    { Hierarchy.latency; hit_level; llc_outcome = None }
+  in
+  (* At mlp 1.0 the division is exact, so [data] is the stall's numerator. *)
+  let data level =
+    data_stall params ~mlp:1.0
+      (at level (Hierarchy.latency config ~kind:Hierarchy.Load level))
+  in
+  let fetch level =
+    fetch_stall params
+      (at level (Hierarchy.latency config ~kind:Hierarchy.Fetch level))
+  in
+  let llc_latency = config.Hierarchy.llc.latency in
+  let miss_latency = llc_latency + config.Hierarchy.memory_latency in
+  {
+    data_l2 = data Hierarchy.L2;
+    data_llc_mlp = data Hierarchy.Llc;
+    data_memory_mlp = data Hierarchy.Memory;
+    miss_memory_mlp = params.memory_exposure *. float_of_int (miss_latency - 1);
+    miss_llc_mlp = params.llc_exposure *. float_of_int (llc_latency - 1);
+    fetch_l2 = fetch Hierarchy.L2;
+    fetch_llc = fetch Hierarchy.Llc;
+    fetch_memory = fetch Hierarchy.Memory;
+    fetch_miss_extra = fetch_llc_miss_extra_stall params ~config;
+  }
+
+(* The engine charges a data LLC miss [(c.miss_memory_mlp /. mlp) -.
+   (c.miss_llc_mlp /. mlp)] inline; this is the same expression. *)
+let llc_miss_extra_stall params ~config ~mlp =
+  let c = stall_costs params ~config in
+  (c.miss_memory_mlp /. mlp) -. (c.miss_llc_mlp /. mlp)
 
 let pp ppf params =
   Format.fprintf ppf

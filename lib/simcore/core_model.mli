@@ -49,5 +49,30 @@ val fetch_llc_miss_extra_stall :  (* mppm: unit cycles *)
   params -> config:Mppm_cache.Hierarchy.config -> float
 (** Same quantity for a fetch that missed the LLC. *)
 
+(** The stalls above for one configuration, precomputed so the engine's
+    per-access path does no float arithmetic beyond the division by the
+    phase's mlp.  All fields are floats, so the record is stored flat and
+    reading a field boxes nothing.  Fields named [_mlp] are numerators: a
+    phase with memory-level parallelism [mlp] suffers [field /. mlp], and
+    the quotient is bit-identical to the function it stands for. *)
+type stall_costs = {
+  data_l2 : float;  (** [data_stall] of an L2 hit (any [mlp]) *)  (* mppm: unit cycles *)
+  data_llc_mlp : float;  (** [data_stall] of an LLC hit, times [mlp] *)  (* mppm: unit cycles *)
+  data_memory_mlp : float;  (* mppm: unit cycles *)
+      (** [data_stall] of an LLC miss, times [mlp] *)
+  miss_memory_mlp : float;  (* mppm: unit cycles *)
+  miss_llc_mlp : float;  (* mppm: unit cycles *)
+      (** [llc_miss_extra_stall] is
+          [(miss_memory_mlp /. mlp) -. (miss_llc_mlp /. mlp)] *)
+  fetch_l2 : float;  (** [fetch_stall] of an L2 hit *)  (* mppm: unit cycles *)
+  fetch_llc : float;  (** [fetch_stall] of an LLC hit *)  (* mppm: unit cycles *)
+  fetch_memory : float;  (** [fetch_stall] of an LLC miss *)  (* mppm: unit cycles *)
+  fetch_miss_extra : float;  (** [fetch_llc_miss_extra_stall] *)  (* mppm: unit cycles *)
+}
+
+val stall_costs : params -> config:Mppm_cache.Hierarchy.config -> stall_costs  (* mppm: unit _ -> config:_ -> costs *)
+(** [stall_costs params ~config] derives every field from the functions
+    above at the latencies {!Mppm_cache.Hierarchy.latency} gives. *)
+
 val pp : Format.formatter -> params -> unit
 (** Human-readable rendering of the core parameters. *)

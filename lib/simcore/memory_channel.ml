@@ -7,8 +7,8 @@ type t = {
 }
 
 let create ~transfer_cycles =
-  if transfer_cycles <= 0.0 then
-    invalid_arg "Memory_channel.create: transfer_cycles <= 0";
+  if not (Float.is_finite transfer_cycles && transfer_cycles > 0.0) then
+    invalid_arg "Memory_channel.create: transfer_cycles must be finite and > 0";
   {
     transfer_cycles;
     free_at = 0.0;
@@ -16,7 +16,6 @@ let create ~transfer_cycles =
     total_queueing = 0.0;
     busy_cycles = 0.0;
   }
-
 
 let request t ~now =
   let start = Float.max now t.free_at in

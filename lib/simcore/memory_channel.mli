@@ -15,7 +15,7 @@ type t
 val create : transfer_cycles:float -> t  (* mppm: unit transfer_cycles:cycles -> channel *)
 (** [create ~transfer_cycles] is an idle channel; [transfer_cycles] is the
     occupancy per line transfer (e.g. 64B at 4 bytes/cycle = 16 cycles).
-    Must be positive. *)
+    Must be finite and positive, else [Invalid_argument]. *)
 
 val request : t -> now:float -> float  (* mppm: unit now:cycles -> cycles *)
 (** [request t ~now] enqueues a line transfer issued at time [now] (cycles)

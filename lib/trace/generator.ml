@@ -15,7 +15,8 @@ type region_state = {
 type phase_state = {
   phase : Benchmark.phase;
   duration : int;
-  weights : float array;
+  cumulative : float array;
+      (** running sums of the region weights, left to right from 0.0 *)
   total_weight : float;
   inv_log_one_minus_p : float;
       (** 1 / ln(1 - mem_ratio), precomputed for geometric gap draws; 0 when
@@ -44,6 +45,11 @@ type t = {
   code_bytes : int;
   mutable fetch_cursor : int;
   address_space_bytes : int;
+  (* The block produced by the last [next_in_place]. *)
+  mutable op_instructions : int;
+  mutable op_is_memory : bool;
+  mutable op_addr : int;
+  mutable op_kind : Op.access_kind;
 }
 
 let create ?(offset = 0) ~seed bench =
@@ -70,15 +76,20 @@ let create ?(offset = 0) ~seed bench =
            let region_states =
              Array.of_list (List.map state_for phase.Benchmark.regions)
            in
-           let weights =
-             Array.map (fun st -> st.region.Benchmark.weight) region_states
+           let cumulative =
+             let acc = ref 0.0 in
+             Array.map
+               (fun st ->
+                 acc := !acc +. st.region.Benchmark.weight;
+                 !acc)
+               region_states
            in
            let p = phase.Benchmark.mem_ratio in
            {
              phase;
              duration;
-             weights;
-             total_weight = Array.fold_left ( +. ) 0.0 weights;
+             cumulative;
+             total_weight = cumulative.(Array.length cumulative - 1);
              inv_log_one_minus_p =
                (if p > 0.0 && p < 1.0 then 1.0 /. log (1.0 -. p) else 0.0);
              region_states;
@@ -100,6 +111,10 @@ let create ?(offset = 0) ~seed bench =
     code_bytes = bench.Benchmark.code_bytes;
     fetch_cursor = 0;
     address_space_bytes = !next_free;
+    op_instructions = 0;
+    op_is_memory = false;
+    op_addr = 0;
+    op_kind = Op.Load;
   }
 
 let benchmark t = t.bench
@@ -119,6 +134,13 @@ let advance t k =
 
 let lines_in bytes = max 1 (bytes / line_bytes)
 
+(* [(cursor + step) mod size] for a non-negative cursor and step: the
+   division runs only when the cursor wraps. *)
+(* mppm: unit _ -- byte offset within a region *)
+let wrap_add cursor step size =
+  let c = cursor + step in
+  if c < size then c else c mod size
+
 (* mppm: unit _ -- byte address *)
 let region_address t (st : region_state) =
   let open Benchmark in
@@ -127,40 +149,49 @@ let region_address t (st : region_state) =
     | Uniform -> Mppm_util.Rng.int t.rng (lines_in st.region.size_bytes) * line_bytes
     | Sequential ->
         let a = st.cursor in
-        st.cursor <- (st.cursor + line_bytes) mod st.region.size_bytes;
+        st.cursor <- wrap_add st.cursor line_bytes st.region.size_bytes;
         a
     | Strided stride ->
         let a = st.cursor in
-        st.cursor <- (st.cursor + stride) mod st.region.size_bytes;
+        st.cursor <- wrap_add st.cursor stride st.region.size_bytes;
         a
   in
   t.offset + st.base + within
+
+(* [Rng.float rng bound], bit for bit, computed here from the raw draw so
+   the uniform stays an unboxed local. *)
+(* mppm: unit _ -- uniform draw carries no unit *)
+let[@inline] uniform_of_bits bits bound = float_of_int bits *. 0x1p-53 *. bound
 
 (* mppm: unit insns -- compute-gap draw between accesses *)
 let draw_gap t (ps : phase_state) =
   if ps.phase.Benchmark.mem_ratio >= 1.0 then 0
   else
     (* Inverse-CDF geometric draw with the log precomputed per phase. *)
-    let u = Mppm_util.Rng.float t.rng 1.0 in
+    let u = uniform_of_bits (Mppm_util.Rng.bits53 t.rng) 1.0 in
     let u = if u <= 0.0 then epsilon_float else u in
     int_of_float (log u *. ps.inv_log_one_minus_p)
 
-(* Weighted region pick with the phase's precomputed total weight.  The
-   scan is toplevel so the per-access pick allocates no closure. *)
+(* Weighted region pick: the first region whose cumulative weight exceeds
+   the draw, else the last.  The draw travels as its raw bits so the scan
+   passes no float argument. *)
 (* mppm: unit _ -- weighted index scan *)
-let rec scan_weights weights n target i acc =
-  if i >= n - 1 then n - 1
-  else
-    let acc = acc +. weights.(i) in
-    if target < acc then i else scan_weights weights n target (i + 1) acc
+let rec scan_cumulative (ps : phase_state) bits i =
+  let last = Array.length ps.cumulative - 1 in
+  if i >= last then last
+  else if uniform_of_bits bits ps.total_weight < ps.cumulative.(i) then i
+  else scan_cumulative ps bits (i + 1)
 
 (* mppm: unit _ -- weighted region index draw *)
 let pick_region t (ps : phase_state) =
-  let target = Mppm_util.Rng.float t.rng ps.total_weight in
-  scan_weights ps.weights (Array.length ps.weights) target 0 0.0
+  scan_cumulative ps (Mppm_util.Rng.bits53 t.rng) 0
 
-(* mppm: unit _ -> cap:insns -> op *)
-let next t ~cap =
+let set_compute t n =
+  t.op_instructions <- n;
+  t.op_is_memory <- false
+
+(* mppm: unit _ -> cap:insns -> _ *)
+let next_in_place t ~cap =
   if cap < 1 then invalid_arg "Generator.next: cap must be >= 1";
   let ps = t.phases.(t.phase_idx) in
   let phase = ps.phase in
@@ -169,7 +200,7 @@ let next t ~cap =
     (* Pure-compute phase: no access can occur before the phase ends. *)
     t.pending_valid <- false;
     advance t limit;
-    Op.compute limit
+    set_compute t limit
   end
   else begin
     if not (t.pending_valid && Float.equal t.pending_ratio phase.Benchmark.mem_ratio)
@@ -182,7 +213,7 @@ let next t ~cap =
       (* The access does not fit: emit compute and keep owing it. *)
       t.pending_gap <- t.pending_gap - limit;
       advance t limit;
-      Op.compute limit
+      set_compute t limit
     end
     else begin
       let gap = t.pending_gap in
@@ -195,9 +226,24 @@ let next t ~cap =
         else Op.Load
       in
       advance t (gap + 1);
-      Op.memory ~gap ~addr ~kind
+      t.op_instructions <- gap + 1;
+      t.op_is_memory <- true;
+      t.op_addr <- addr;
+      t.op_kind <- kind
     end
   end
+
+let op_instructions t = t.op_instructions
+let op_is_memory t = t.op_is_memory
+let op_addr t = t.op_addr
+let op_kind t = t.op_kind
+
+(* mppm: unit _ -> cap:insns -> op *)
+let next t ~cap =
+  next_in_place t ~cap;
+  if t.op_is_memory then
+    Op.memory ~gap:(t.op_instructions - 1) ~addr:t.op_addr ~kind:t.op_kind
+  else Op.compute t.op_instructions
 
 (* mppm: unit op -- generated fetch op *)
 let next_fetch t =
@@ -210,6 +256,6 @@ let next_fetch t =
     + (Mppm_util.Rng.int t.fetch_rng (lines_in t.code_bytes) * line_bytes)
   else begin
     t.fetch_cursor <-
-      (t.fetch_cursor + line_bytes) mod t.bench.Benchmark.hot_code_bytes;
+      wrap_add t.fetch_cursor line_bytes t.bench.Benchmark.hot_code_bytes;
     t.offset + t.fetch_cursor
   end

@@ -34,7 +34,26 @@ val retired : t -> int
 val next : t -> cap:int -> Op.t
 (** [next t ~cap] produces the next block, retiring at most [cap]
     instructions ([cap >= 1]).  Blocks never span a phase boundary, so the
-    caller can cut profile intervals exactly. *)
+    caller can cut profile intervals exactly.  It is {!next_in_place}
+    with the block read back into an {!Op.t}. *)
+
+val next_in_place : t -> cap:int -> unit  (* mppm: unit _ -> cap:insns -> _ *)
+(** [next_in_place t ~cap] produces the block {!next} would, allocating
+    nothing: the block stays in [t], readable through {!op_instructions},
+    {!op_is_memory}, {!op_addr} and {!op_kind} until the next call. *)
+
+val op_instructions : t -> int  (* mppm: unit insns *)
+(** Instructions retired by the last {!next_in_place} block, the memory
+    instruction included; 0 before the first. *)
+
+val op_is_memory : t -> bool
+(** Whether the last {!next_in_place} block ends in a data reference. *)
+
+val op_addr : t -> int  (* mppm: unit _ *)
+(** Byte address of that reference; meaningful when {!op_is_memory}. *)
+
+val op_kind : t -> Op.access_kind
+(** Load or store of that reference; meaningful when {!op_is_memory}. *)
 
 val next_fetch : t -> int
 (** The next instruction-cache line (byte address) touched by the fetch

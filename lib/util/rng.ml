@@ -51,11 +51,15 @@ let int_in t ~lo ~hi =
   if hi < lo then invalid_arg "Rng.int_in: hi < lo";
   lo + int t (hi - lo + 1)
 
+(* mppm: unit _ -- raw draw bits carry no unit *)
+let bits53 t = next t land ((1 lsl 53) - 1)
+
 let float_scale = 1.0 /. 9007199254740992.0 (* 2^-53 *)
 
+(* Inlined so [bernoulli] and the other in-module draws compare or
+   combine the uniform without boxing it. *)
 (* mppm: unit _ -- uniform draw carries no unit *)
-let float t bound =
-  float_of_int (next t land ((1 lsl 53) - 1)) *. float_scale *. bound
+let[@inline] float t bound = float_of_int (bits53 t) *. float_scale *. bound
 
 let bool t = next t land 1 = 1
 let bernoulli t ~p = float t 1.0 < p

@@ -34,6 +34,12 @@ val int_in : t -> lo:int -> hi:int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
+val bits53 : t -> int
+(** [bits53 t] is the next 53 uniform bits, the draw behind {!float}:
+    [float t bound] is [float_of_int (bits53 t) *. 0x1p-53 *. bound], bit
+    for bit, and consumes the same state.  Hot callers that must not box
+    a float returned across a module boundary draw through it. *)
+
 (* lint: allow S4 draw-API completeness, part of the documented Rng surface *)
 val bool : t -> bool
 (** [bool t] is a fair coin flip. *)

@@ -449,9 +449,125 @@ let test_configs_table1 () =
 
 (* ---- qcheck properties -------------------------------------------------- *)
 
+(* The allocation-free primitives against their wrappers: two identical
+   instances driven in lockstep by the same random stream, one through
+   each entry point, must agree access for access and end in the same
+   state. *)
+
+let outcome_of_depth = function 0 -> Cache.Miss | d -> Cache.Hit d
+
+let caches_agree ~policy ?partition ~owners seed =
+  let make () = Cache.create ~policy ?partition small_geometry in
+  let a = make () and b = make () in
+  let rng = Rng.create ~seed in
+  let ok = ref true in
+  for _ = 1 to 3_000 do
+    let owner = Rng.int rng owners and addr = Rng.int rng 64 * 64 in
+    let got, want =
+      if partition = None then
+        (Cache.lookup a addr, Cache.access b addr)
+      else (Cache.lookup_as a ~owner addr, Cache.access_as b ~owner addr)
+    in
+    if outcome_of_depth got <> want then ok := false
+  done;
+  !ok
+  && Cache.hits a = Cache.hits b
+  && Cache.misses a = Cache.misses b
+  && Cache.resident_lines a = Cache.resident_lines b
+  && List.for_all
+       (fun owner -> Cache.owner_lines a ~owner = Cache.owner_lines b ~owner)
+       (List.init owners Fun.id)
+  && List.for_all
+       (fun line -> Cache.probe a (line * 64) = Cache.probe b (line * 64))
+       (List.init 64 Fun.id)
+
+let small_hierarchy =
+  let level size ways latency =
+    {
+      Hierarchy.geometry =
+        Geometry.make ~size_bytes:size ~line_bytes:64 ~associativity:ways;
+      latency;
+    }
+  in
+  {
+    Hierarchy.l1i = level 512 2 1;
+    l1d = level 1024 2 2;
+    l2 = level 2048 4 10;
+    llc = level 8192 8 30;
+    memory_latency = 200;
+  }
+
+(* Two cores per side share a way-partitioned LLC (or each has a private
+   or perfect one); side [a] goes through [access_packed], side [b]
+   through [access]. *)
+let hierarchies_agree ~shared ~perfect_llc seed =
+  let side () =
+    let llc =
+      if shared then
+        Some (Cache.create ~partition:[| 3; 5 |] small_hierarchy.Hierarchy.llc.Hierarchy.geometry)
+      else None
+    in
+    Array.init 2 (fun owner ->
+        Hierarchy.create ?llc ~llc_owner:owner ~perfect_llc small_hierarchy)
+  in
+  let a = side () and b = side () in
+  let rng = Rng.create ~seed in
+  let ok = ref true in
+  for _ = 1 to 4_000 do
+    let core = Rng.int rng 2 in
+    let kind =
+      match Rng.int rng 3 with
+      | 0 -> Hierarchy.Fetch
+      | 1 -> Hierarchy.Load
+      | _ -> Hierarchy.Store
+    in
+    let addr = Rng.int rng 512 * 64 in
+    let packed = Hierarchy.access_packed a.(core) ~kind ~addr in
+    let level = Hierarchy.packed_level packed in
+    let depth = Hierarchy.packed_llc_depth packed in
+    let r = Hierarchy.access b.(core) ~kind ~addr in
+    let outcome =
+      match level with
+      | Hierarchy.L1 | Hierarchy.L2 -> None
+      | Hierarchy.Llc -> Some (Cache.Hit depth)
+      | Hierarchy.Memory -> Some Cache.Miss
+    in
+    if
+      level <> r.Hierarchy.hit_level
+      || Hierarchy.latency small_hierarchy ~kind level <> r.Hierarchy.latency
+      || outcome <> r.Hierarchy.llc_outcome
+      || (level <> Hierarchy.Llc && depth <> 0)
+    then ok := false
+  done;
+  !ok
+  && Array.for_all2
+       (fun x y ->
+         Hierarchy.llc_accesses x = Hierarchy.llc_accesses y
+         && Hierarchy.llc_misses x = Hierarchy.llc_misses y
+         && Hierarchy.counters x = Hierarchy.counters y)
+       a b
+
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"lookup = access (LRU)" ~count:50 small_int
+      (caches_agree ~policy:Replacement.Lru ~owners:1);
+    Test.make ~name:"lookup = access (FIFO)" ~count:50 small_int
+      (caches_agree ~policy:Replacement.Fifo ~owners:1);
+    Test.make ~name:"lookup = access (Random seed)" ~count:50
+      (pair small_int small_int)
+      (fun (policy_seed, seed) ->
+        caches_agree ~policy:(Replacement.Random policy_seed) ~owners:1 seed);
+    Test.make ~name:"lookup_as = access_as (way-partitioned)" ~count:50
+      small_int
+      (caches_agree ~policy:Replacement.Lru ~partition:[| 1; 2; 1 |] ~owners:3);
+    Test.make ~name:"access_packed = access (private LLC)" ~count:30 small_int
+      (hierarchies_agree ~shared:false ~perfect_llc:false);
+    Test.make ~name:"access_packed = access (perfect LLC)" ~count:30 small_int
+      (hierarchies_agree ~shared:false ~perfect_llc:true);
+    Test.make ~name:"access_packed = access (shared partitioned LLC)" ~count:30
+      small_int
+      (hierarchies_agree ~shared:true ~perfect_llc:false);
     Test.make ~name:"hit depth never exceeds associativity" ~count:50
       small_int
       (fun seed ->

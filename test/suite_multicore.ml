@@ -133,6 +133,45 @@ let test_validations () =
        false
      with Invalid_argument _ -> true)
 
+let test_non_finite_inputs_rejected () =
+  let programs = [| spec "mcf"; spec ~offset:(1 lsl 36) "lbm" |] in
+  Suite_simcore.raises_invalid_prefixed "Core_engine.create:" (fun () ->
+      Multi_core.run ~compute_scales:[| Float.nan; Float.nan |] config ~programs
+        ~trace_instructions:1000);
+  Suite_simcore.raises_invalid_prefixed "Memory_channel.create:" (fun () ->
+      Multi_core.run
+        (Multi_core.config ~bandwidth:Float.nan baseline)
+        ~programs ~trace_instructions:1000);
+  (* A NaN core parameter poisons a clock mid-run: the scheduler stops
+     instead of never picking that core again. *)
+  let core =
+    { Mppm_simcore.Core_model.default with
+      Mppm_simcore.Core_model.fetch_exposure = Float.nan }
+  in
+  Suite_simcore.raises_invalid_prefixed "Multi_core.run:" (fun () ->
+      Multi_core.run (Multi_core.config ~core baseline) ~programs
+        ~trace_instructions:1000)
+
+(* The scheduling loop allocates nothing: a run twice as long allocates
+   exactly the same minor words (set-up and results do not grow with the
+   trace). *)
+let test_scheduler_allocates_nothing () =
+  let offsets = Multi_core.default_offsets 4 in
+  let programs =
+    Array.mapi
+      (fun i n -> spec ~offset:offsets.(i) n)
+      [| "gamess"; "gamess"; "hmmer"; "soplex" |]
+  in
+  let words trace_instructions =
+    Suite_simcore.minor_words_of (fun () ->
+        ignore (Multi_core.run config ~programs ~trace_instructions))
+  in
+  ignore (words 10_000);
+  let short = words 50_000 in
+  let long = words 100_000 in
+  Alcotest.(check (float 0.0)) "words for the extra 50k instructions" 0.0
+    (long -. short)
+
 let test_identical_twins_converge () =
   (* Two copies of the same benchmark with different offsets should see
      nearly identical slowdowns (symmetry of the machine). *)
@@ -161,5 +200,9 @@ let tests =
         Alcotest.test_case "default offsets" `Quick test_default_offsets;
         Alcotest.test_case "validations" `Quick test_validations;
         Alcotest.test_case "identical twins" `Quick test_identical_twins_converge;
+        Alcotest.test_case "non-finite inputs rejected" `Quick
+          test_non_finite_inputs_rejected;
+        Alcotest.test_case "scheduler allocates nothing" `Quick
+          test_scheduler_allocates_nothing;
       ] );
   ]

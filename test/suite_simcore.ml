@@ -224,6 +224,124 @@ let test_engine_snapshot_delta () =
   Alcotest.(check bool) "delta cycles positive" true (delta.Core_engine.s_cycles > 0.0);
   Alcotest.(check int) "retired total" 15_000 (Core_engine.retired engine)
 
+(* ---- Allocation-free hot path --------------------------------------------- *)
+
+(* Minor words [f ()] allocates on this domain, net of what the
+   measurement itself costs.  The sanitizer is forced off: its reports
+   allocate by design. *)
+let minor_words_of f =
+  let sanitizing = Mppm_util.Invariant.enabled () in
+  Mppm_util.Invariant.set_enabled false;
+  let w0 = Gc.minor_words () in
+  f ();
+  let w1 = Gc.minor_words () in
+  let v0 = Gc.minor_words () in
+  let v1 = Gc.minor_words () in
+  Mppm_util.Invariant.set_enabled sanitizing;
+  w1 -. w0 -. (v1 -. v0)
+
+let engine ?sdc_profiler name =
+  let cfg = Single_core.config baseline in
+  Core_engine.create ?sdc_profiler ~params:cfg.Single_core.core
+    ~hierarchy:(Hierarchy.create baseline)
+    ~generator:(Generator.create ~seed:(seed name) (bench name))
+    ()
+
+let steps engine n =
+  for _ = 1 to n do
+    ignore (Core_engine.step engine ~cap:(1 lsl 20))
+  done
+
+let test_step_allocates_nothing () =
+  List.iter
+    (fun (label, e) ->
+      steps e 10_000;
+      let words = minor_words_of (fun () -> steps e 100_000) in
+      Alcotest.(check (float 0.0)) (label ^ ": words over 100k steps") 0.0 words)
+    [
+      ("mcf", engine "mcf");
+      ("soplex", engine "soplex");
+      ("gamess", engine "gamess");
+      ( "lbm, profiled",
+        engine "lbm"
+          ~sdc_profiler:
+            (Mppm_cache.Sdc_profiler.create baseline.Hierarchy.llc.Hierarchy.geometry)
+      );
+    ]
+
+(* ---- Totality ---------------------------------------------------------------- *)
+
+let raises_invalid_prefixed prefix f =
+  match f () with
+  | _ -> Alcotest.failf "expected Invalid_argument %s..." prefix
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S starts with %S" msg prefix)
+        true
+        (String.length msg >= String.length prefix
+        && String.sub msg 0 (String.length prefix) = prefix)
+
+(* Every stall the engine charges from [stall_costs] is bit-identical to
+   the function it stands for; the miss extra is checked against the
+   formula it had before it was hoisted. *)
+let test_stall_costs_bit_identical =
+  let bits = Int64.bits_of_float in
+  let same a b = Int64.equal (bits a) (bits b) in
+  QCheck.Test.make ~name:"stall_costs = per-access stalls, bit for bit"
+    ~count:300
+    QCheck.(
+      triple (int_range 1 6) (float_range 1.0 16.0)
+        (triple (float_range 0.0 1.0) (float_range 0.0 1.0)
+           (float_range 0.0 1.0)))
+    (fun (llc, mlp, (l2_exposure, llc_exposure, memory_exposure)) ->
+      let config = Configs.baseline ~llc () in
+      let p =
+        {
+          Core_model.default with
+          Core_model.l2_exposure;
+          llc_exposure;
+          memory_exposure;
+        }
+      in
+      let c = Core_model.stall_costs p ~config in
+      let at hit_level =
+        {
+          Hierarchy.latency = Hierarchy.latency config ~kind:Hierarchy.Load hit_level;
+          hit_level;
+          llc_outcome = None;
+        }
+      in
+      let llc_latency = config.Hierarchy.llc.Hierarchy.latency in
+      let miss_latency = llc_latency + config.Hierarchy.memory_latency in
+      same c.Core_model.data_l2 (Core_model.data_stall p ~mlp (at Hierarchy.L2))
+      && same (c.Core_model.data_llc_mlp /. mlp)
+           (Core_model.data_stall p ~mlp (at Hierarchy.Llc))
+      && same (c.Core_model.data_memory_mlp /. mlp)
+           (Core_model.data_stall p ~mlp (at Hierarchy.Memory))
+      && same
+           ((c.Core_model.miss_memory_mlp /. mlp) -. (c.Core_model.miss_llc_mlp /. mlp))
+           ((memory_exposure *. float_of_int (miss_latency - 1) /. mlp)
+           -. (llc_exposure *. float_of_int (llc_latency - 1) /. mlp))
+      && same c.Core_model.fetch_l2 (Core_model.fetch_stall p (at Hierarchy.L2))
+      && same c.Core_model.fetch_llc (Core_model.fetch_stall p (at Hierarchy.Llc))
+      && same c.Core_model.fetch_memory
+           (Core_model.fetch_stall p (at Hierarchy.Memory))
+      && same c.Core_model.fetch_miss_extra
+           (Core_model.fetch_llc_miss_extra_stall p ~config))
+
+let test_non_finite_scales_rejected () =
+  List.iter
+    (fun bad ->
+      raises_invalid_prefixed "Core_engine.create:" (fun () ->
+          let cfg = Single_core.config baseline in
+          Core_engine.create ~compute_scale:bad ~params:cfg.Single_core.core
+            ~hierarchy:(Hierarchy.create baseline)
+            ~generator:(Generator.create ~seed:1 (bench "mcf"))
+            ());
+      raises_invalid_prefixed "Memory_channel.create:" (fun () ->
+          Mppm_simcore.Memory_channel.create ~transfer_cycles:bad))
+    [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -1.0 ]
+
 let tests =
   [
     ( "simcore.core_model",
@@ -233,6 +351,7 @@ let tests =
         Alcotest.test_case "mlp divides off-core stalls" `Quick test_stall_mlp_divides_offcore;
         Alcotest.test_case "miss extra = stall difference" `Quick test_llc_miss_extra_is_difference;
         Alcotest.test_case "fetch stalls" `Quick test_fetch_stall;
+        QCheck_alcotest.to_alcotest test_stall_costs_bit_identical;
       ] );
     ( "simcore.single_core",
       [
@@ -248,5 +367,11 @@ let tests =
         Alcotest.test_case "LLC size monotonicity" `Quick test_llc_size_monotonicity;
       ] );
     ( "simcore.engine",
-      [ Alcotest.test_case "snapshot deltas" `Quick test_engine_snapshot_delta ] );
+      [
+        Alcotest.test_case "snapshot deltas" `Quick test_engine_snapshot_delta;
+        Alcotest.test_case "step allocates nothing" `Quick
+          test_step_allocates_nothing;
+        Alcotest.test_case "non-finite scales rejected" `Quick
+          test_non_finite_scales_rejected;
+      ] );
   ]

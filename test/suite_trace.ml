@@ -447,6 +447,33 @@ let qcheck_tests =
           total := !total + (Generator.next g ~cap:333).Op.instructions
         done;
         !total = Generator.retired g);
+    Test.make ~name:"next_in_place fields = next ops" ~count:100
+      (pair small_int (int_range 0 (Suite.count - 1)))
+      (fun (seed, which) ->
+        (* Two identical generators: one read through [next], one through
+           the in-place fields, with random caps and fetches between. *)
+        let bench = Suite.all.(which) in
+        let a = Generator.create ~offset:(1 lsl 36) ~seed bench in
+        let b = Generator.create ~offset:(1 lsl 36) ~seed bench in
+        let rng = Mppm_util.Rng.create ~seed in
+        let ok = ref true in
+        for _ = 1 to 2_000 do
+          let cap = 1 + Mppm_util.Rng.int rng 3_000 in
+          let op = Generator.next a ~cap in
+          Generator.next_in_place b ~cap;
+          let fields =
+            if Generator.op_is_memory b then
+              Op.memory
+                ~gap:(Generator.op_instructions b - 1)
+                ~addr:(Generator.op_addr b) ~kind:(Generator.op_kind b)
+            else Op.compute (Generator.op_instructions b)
+          in
+          if op <> fields then ok := false;
+          for _ = 1 to Mppm_util.Rng.int rng 3 do
+            if Generator.next_fetch a <> Generator.next_fetch b then ok := false
+          done
+        done;
+        !ok && Generator.retired a = Generator.retired b);
   ]
 
 let tests =
