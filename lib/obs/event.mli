@@ -49,6 +49,13 @@ val to_chrome : ?pid:int -> ?tid:int -> t -> string
     Callers wrap the objects in a JSON array to form a loadable trace —
     see {!Render.chrome}. *)
 
+val escape_string : string -> string
+(** Escape a string for embedding in a JSON string literal (RFC 8259):
+    quote, backslash, [\n], [\r] and [\t] get their short escapes, other
+    control characters become [\u00XX], every other byte passes through.
+    The one JSON string escaper of the repo: trace events and the lint
+    JSON and SARIF renderers all use it. *)
+
 val float_field : t -> string -> float option
 (** Numeric field as a float ([Int] coerces); [None] when absent or not a
     number. *)

@@ -1,8 +1,9 @@
 (* Tests for the Mppm_obs observability layer: event serialization and
    round-trips, counter/histogram merge algebra, the model core's event
    stream (deterministic and matching the checked-in golden trace), the
-   registry aggregates the simulators push, and the hard guarantee that
-   attaching a trace never changes results bit-for-bit. *)
+   registry aggregates the simulators push, the hard guarantee that
+   attaching a trace never changes results bit-for-bit, and the built
+   bin/mppm.exe's trace-report exit-code and error-message contract. *)
 
 module Event = Mppm_obs.Event
 module Sink = Mppm_obs.Sink
@@ -465,6 +466,75 @@ let test_render_chrome () =
      in
      find 0)
 
+(* ---- the trace-report CLI ------------------------------------------------ *)
+
+let contains haystack needle =
+  let h = String.length haystack and n = String.length needle in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  go 0
+
+let write_file path text =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () -> output_string oc text)
+
+(* Locate the built executable the dune test stanza declares as a dep;
+   source checkouts without a build skip gracefully. *)
+let built_exe rel =
+  let candidates =
+    (match Sys.getenv_opt "MPPM_LINT_ROOT" with Some r -> [ r ] | None -> [])
+    @ [ ".."; "../.."; "." ]
+  in
+  List.find_map
+    (fun root ->
+      let path = Filename.concat root rel in
+      if Sys.file_exists path then Some path else None)
+    candidates
+
+let run_cli cmd =
+  let out = Filename.temp_file "mppm_cli_out" ".txt" in
+  let rc = Sys.command (Printf.sprintf "%s > %s 2>&1" cmd (Filename.quote out)) in
+  let ic = open_in_bin out in
+  let text =
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  Sys.remove out;
+  (rc, text)
+
+let test_trace_report_bad_input () =
+  match built_exe "bin/mppm.exe" with
+  | None -> () (* source checkout without a build *)
+  | Some exe ->
+      let empty = Filename.temp_file "mppm_trace_empty" ".jsonl" in
+      write_file empty "";
+      let rc, text =
+        run_cli
+          (Printf.sprintf "%s trace-report %s" (Filename.quote exe)
+             (Filename.quote empty))
+      in
+      Sys.remove empty;
+      Alcotest.(check int) "empty trace exits 2" 2 rc;
+      Alcotest.(check bool) "error names the command" true
+        (contains text "Mppm.trace_report");
+      Alcotest.(check bool) "error hints at recording a trace" true
+        (contains text "hint");
+      let chrome = Filename.temp_file "mppm_trace_chrome" ".jsonl" in
+      write_file chrome "[\n{\"ph\": \"X\"}\n]\n";
+      let rc, text =
+        run_cli
+          (Printf.sprintf "%s trace-report %s" (Filename.quote exe)
+             (Filename.quote chrome))
+      in
+      Sys.remove chrome;
+      Alcotest.(check int) "chrome trace exits 2" 2 rc;
+      Alcotest.(check bool) "error carries file and line" true
+        (contains text "Mppm.trace_report");
+      Alcotest.(check bool) "hint says it looks like a Chrome trace" true
+        (contains text "Chrome")
+
 let tests =
   [
     ( "obs.event",
@@ -504,5 +574,10 @@ let tests =
         Alcotest.test_case "jsonl stream" `Quick test_render_jsonl;
         Alcotest.test_case "chrome framing and lanes" `Quick
           test_render_chrome;
+      ] );
+    ( "obs.cli",
+      [
+        Alcotest.test_case "trace-report rejects empty/foreign traces" `Quick
+          test_trace_report_bad_input;
       ] );
   ]

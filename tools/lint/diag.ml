@@ -15,28 +15,14 @@ let to_text d =
     (severity_to_string d.severity)
     d.message
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let esc = Mppm_obs.Event.escape_string
 
 let to_json d =
   Printf.sprintf
     "{\"file\":\"%s\",\"line\":%d,\"rule\":\"%s\",\"severity\":\"%s\",\"message\":\"%s\"}"
-    (json_escape d.file) d.line (json_escape d.rule)
+    (esc d.file) d.line (esc d.rule)
     (severity_to_string d.severity)
-    (json_escape d.message)
+    (esc d.message)
 
 let list_to_json ds =
   match ds with

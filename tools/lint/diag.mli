@@ -13,10 +13,6 @@ type t = {
 val severity_to_string : severity -> string
 (** ["error"] or ["warning"]. *)
 
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal (RFC 8259);
-    shared by the JSON and SARIF renderers. *)
-
 val to_text : t -> string
 (** One [file:line: [rule] severity: message] line, the [--format text]
     rendering. *)

@@ -7,8 +7,7 @@
    [(* lint: allow ... *)] suppression comments.
 
    Usage: lint.exe [--root DIR] [--format text|json|sarif] [--only RULE]...
-                   [--rules R1,R2] [--fix] [--cache FILE] [--verbose]
-                   [--report hot|units] [--bench FILE] *)
+                   [--rules R1,R2] [--fix] [--verbose] [--report hot|units] *)
 
 module Diag = Mppm_lint.Diag
 module Engine = Mppm_lint.Engine
@@ -20,25 +19,13 @@ type format = Text | Json | Sarif
 
 let usage =
   "lint.exe [--root DIR] [--format text|json|sarif] [--only RULE]... \
-   [--rules R1,R2] [--fix] [--cache FILE] [--verbose] [--report hot|units] \
-   [--bench FILE]"
-
-(* Human-readable byte counts for the Gc cross-reference table. *)
-let pp_bytes b =
-  if b >= 1e9 then Printf.sprintf "%.2f GB" (b /. 1e9)
-  else if b >= 1e6 then Printf.sprintf "%.2f MB" (b /. 1e6)
-  else if b >= 1e3 then Printf.sprintf "%.2f kB" (b /. 1e3)
-  else Printf.sprintf "%.0f B" b
+   [--rules R1,R2] [--fix] [--verbose] [--report hot|units]"
 
 (* --report hot: the ranked hot-path inventory.  Findings stay with the
    normal lint run; this mode is the work-list view — every function the
    hotness propagation reached, its shortest chain back to a
-   (* mppm: hot *) root, and its P1-P4 sites (open or allow-suppressed).
-   When a bench report with per-phase Gc deltas is available
-   (BENCH_model.json by default, --bench to point elsewhere), its
-   allocation totals are appended so the static inventory can be read
-   against the measured churn. *)
-let report_hot ~root ~bench (report : Mppm_sema.Sema.report) =
+   (* mppm: hot *) root, and its P1-P4 sites (open or allow-suppressed). *)
+let report_hot (report : Mppm_sema.Sema.report) =
   let hot = report.Mppm_sema.Sema.hot in
   let roots = List.filter (fun e -> e.Mppm_sema.Hotpath.h_root) hot in
   let sites = List.concat_map (fun e -> e.Mppm_sema.Hotpath.h_sites) hot in
@@ -78,45 +65,7 @@ let report_hot ~root ~bench (report : Mppm_sema.Sema.report) =
       (List.length clean)
       (if List.length clean = 1 then "" else "s")
       (String.concat ", "
-         (List.map (fun e -> e.Mppm_sema.Hotpath.h_label) clean));
-  let bench_path =
-    if bench <> "" then Some bench
-    else
-      let candidate name =
-        let p = Filename.concat root name in
-        if Sys.file_exists p then Some p else None
-      in
-      match candidate "BENCH_model.json" with
-      | Some p -> Some p
-      | None -> candidate "BENCH_seed.json"
-  in
-  match bench_path with
-  | None -> ()
-  | Some path -> (
-      let text =
-        try
-          let ic = open_in_bin path in
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> Some (really_input_string ic (in_channel_length ic)))
-        with Sys_error _ -> None
-      in
-      match text with
-      | None -> Printf.printf "\n(bench report %s is unreadable)\n" path
-      | Some text -> (
-          match Mppm_obs.Bench_report.of_json text with
-          | Error msg -> Printf.printf "\n(bench report %s: %s)\n" path msg
-          | Ok bench ->
-              Printf.printf "\nGc allocation context (%s):\n" path;
-              List.iter
-                (fun (ph : Mppm_obs.Bench_report.phase) ->
-                  match ph.Mppm_obs.Bench_report.ph_alloc_bytes with
-                  | None -> ()
-                  | Some b ->
-                      Printf.printf "  %-28s %10s allocated in %.1fs\n"
-                        ph.Mppm_obs.Bench_report.ph_name (pp_bytes b)
-                        ph.Mppm_obs.Bench_report.ph_seconds)
-                bench.Mppm_obs.Bench_report.r_phases))
+         (List.map (fun e -> e.Mppm_sema.Hotpath.h_label) clean))
 
 (* --report units: the annotation coverage map.  One row per lib/
    module — public .mli values that are annotated, inferred or opaque —
@@ -235,10 +184,8 @@ let () =
   let format = ref Text in
   let only = ref [] in
   let fix = ref false in
-  let cache_file = ref "" in
   let verbose = ref false in
   let report_mode = ref "" in
-  let bench = ref "" in
   let add_rule r =
     if not (List.mem r Rules.all_rule_ids) then begin
       Printf.eprintf "lint: unknown rule %s (known: %s)\n" r
@@ -272,13 +219,9 @@ let () =
         Arg.Set fix,
         "  rewrite sources in place, applying the mechanical fixes (D1 \
          ~random:false, E1 message prefix) before linting" );
-      ( "--cache",
-        Arg.Set_string cache_file,
-        "FILE  persist per-file AST facts keyed by content fingerprint; a \
-         second run over an unchanged tree re-parses nothing" );
       ( "--verbose",
         Arg.Set verbose,
-        "  print per-layer statistics (sema parses / cache hits / fallbacks)"
+        "  print per-layer statistics (sema parses / fallbacks)"
       );
       ( "--report",
         Arg.String
@@ -290,11 +233,6 @@ let () =
             report_mode := s),
         "hot|units  print the ranked hot-path inventory or the unit \
          annotation coverage map instead of findings" );
-      ( "--bench",
-        Arg.Set_string bench,
-        "FILE  bench report whose Gc deltas annotate --report hot \
-         (default: BENCH_model.json, then BENCH_seed.json, under --root)"
-      );
     ]
   in
   Arg.parse spec
@@ -322,11 +260,7 @@ let () =
           (if n = 1 then "" else "s"))
       fixed
   end;
-  let analyze () =
-    Mppm_sema.Sema.analyze_tree
-      ?cache_file:(if !cache_file = "" then None else Some !cache_file)
-      ~root:!root ()
-  in
+  let analyze () = Mppm_sema.Sema.analyze_tree ~root:!root () in
   let report = analyze () in
   let report =
     if not !fix then report
@@ -343,7 +277,7 @@ let () =
           analyze ()
   in
   if !report_mode = "hot" then begin
-    report_hot ~root:!root ~bench:!bench report;
+    report_hot report;
     exit 0
   end;
   if !report_mode = "units" then exit (if report_units report then 0 else 1);
@@ -355,9 +289,8 @@ let () =
     | rules -> List.filter (fun d -> List.mem d.Diag.rule rules) diags
   in
   if !verbose then
-    Printf.printf "sema: parses=%d cache-hits=%d fallbacks=%d\n"
-      report.Mppm_sema.Sema.parses report.Mppm_sema.Sema.cache_hits
-      report.Mppm_sema.Sema.fallbacks;
+    Printf.printf "sema: parses=%d fallbacks=%d\n"
+      report.Mppm_sema.Sema.parses report.Mppm_sema.Sema.fallbacks;
   let errors = Engine.errors diags in
   (match !format with
   | Json -> print_endline (Diag.list_to_json diags)

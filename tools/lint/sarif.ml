@@ -10,7 +10,7 @@ let schema_uri = "https://json.schemastore.org/sarif-2.1.0.json"
 let tool_name = "mppm-lint"
 let tool_version = "2.0.0"
 
-let esc = Diag.json_escape
+let esc = Mppm_obs.Event.escape_string
 
 let rule_to_json r =
   Printf.sprintf

@@ -1,10 +1,10 @@
 (* Per-file facts extracted from the compiler-libs parse tree.
 
-   Facts are plain serializable data (no AST nodes), so they can be cached
-   by source fingerprint and re-fed to the cross-module passes without
-   re-parsing.  Extraction is syntactic — no typing — so every judgment
-   here is a heuristic; the rules built on top are tuned to be zero-noise
-   on this tree (asserted by the test suite). *)
+   Facts are plain data (no AST nodes), extracted once per file and
+   re-fed to the cross-module passes without re-parsing.  Extraction is
+   syntactic — no typing — so every judgment here is a heuristic; the
+   rules built on top are tuned to be zero-noise on this tree (asserted
+   by the test suite). *)
 
 type mut_scope =
   | Mut_local  (* target is let-bound to a fresh mutable allocation *)

@@ -1,10 +1,10 @@
 (** Per-file facts extracted from the compiler-libs parse tree.
 
-    Facts are plain serializable data (no AST nodes), so they can be
-    cached by source fingerprint ({!Cache}) and re-fed to the cross-module
-    passes ({!Effects}, {!Seedflow}, {!Purity}, S4 in {!Sema}) without
-    re-parsing.  Extraction is purely syntactic; every judgment is a
-    heuristic tuned to be zero-noise on this tree. *)
+    Facts are plain data (no AST nodes), extracted once per file and
+    re-fed to the cross-module passes ({!Effects}, {!Seedflow},
+    {!Purity}, S4 in {!Sema}) without re-parsing.  Extraction is purely
+    syntactic; every judgment is a heuristic tuned to be zero-noise on
+    this tree. *)
 
 type mut_scope =
   | Mut_local

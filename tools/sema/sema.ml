@@ -1,6 +1,6 @@
 (* Top-level driver of the AST analysis layer.
 
-   Extraction (per file, cacheable) feeds the cross-checks: S1/S5 effect
+   Per-file extraction feeds the cross-checks: S1/S5 effect
    containment (Effects), S2 seed-flow (Seedflow), S3 order-sensitive
    float accumulation and S4 dead exports (here), and the S6/S7/S8
    parallel-determinism rules (Purity) over the closed effect table.
@@ -17,7 +17,6 @@ type input = { rel : string; content : string }
 type report = {
   diags : Diag.t list;
   parses : int;
-  cache_hits : int;
   fallbacks : int;
   summaries : (string * string * string) list;
   hot : Hotpath.entry list;
@@ -113,29 +112,16 @@ let s4 env facts_list =
       else [])
     facts_list
 
-let analyze ?cache_file ~dunes inputs =
-  let cache =
-    match cache_file with Some p -> Cache.load p | None -> Cache.create ()
-  in
-  let parses = ref 0 and hits = ref 0 and fallbacks = ref 0 in
+let analyze ~dunes inputs =
+  let fallbacks = ref 0 in
   let facts_list =
     List.map
       (fun { rel; content } ->
-        let rel = Engine.normalize_rel rel in
-        let k = Cache.key ~rel content in
-        match Cache.find cache k with
-        | Some f ->
-            incr hits;
-            f
-        | None ->
-            incr parses;
-            let f = Facts.extract ~rel content in
-            if f.Facts.parse_failed then incr fallbacks;
-            Cache.add cache k f;
-            f)
+        let f = Facts.extract ~rel:(Engine.normalize_rel rel) content in
+        if f.Facts.parse_failed then incr fallbacks;
+        f)
       inputs
   in
-  (match cache_file with Some p -> Cache.store p cache | None -> ());
   let env =
     Resolve.build ~dunes
       ~files:(List.map (fun (f : Facts.t) -> f.Facts.rel) facts_list)
@@ -171,15 +157,14 @@ let analyze ?cache_file ~dunes inputs =
   in
   {
     diags;
-    parses = !parses;
-    cache_hits = !hits;
+    parses = List.length inputs;
     fallbacks = !fallbacks;
     summaries = Effects.summaries table;
     hot = Hotpath.analyze env facts_list;
     units;
   }
 
-let analyze_tree ?cache_file ~root () =
+let analyze_tree ~root () =
   let files = Engine.collect_tree ~root in
   let dunes, sources =
     List.partition (fun rel -> Filename.basename rel = "dune") files
@@ -187,4 +172,4 @@ let analyze_tree ?cache_file ~root () =
   let read rel = Engine.read_file (Filename.concat root rel) in
   let dunes = List.map (fun rel -> (rel, read rel)) dunes in
   let inputs = List.map (fun rel -> { rel; content = read rel }) sources in
-  analyze ?cache_file ~dunes inputs
+  analyze ~dunes inputs

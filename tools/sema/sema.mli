@@ -1,8 +1,7 @@
 (** The AST analysis layer: semantic rules S1-S8 over compiler-libs
     parse trees.
 
-    Per-file {!Facts} extraction (cacheable by content fingerprint via
-    {!Cache}) feeds the cross-module checks: S1/S5 effect containment
+    Per-file {!Facts} extraction feeds the cross-module checks: S1/S5 effect containment
     ({!Effects}), S2 seed-flow ({!Seedflow}), S3 order-sensitive float
     accumulation over unordered [Hashtbl] iteration, S4 dead [.mli]
     exports, and the S6/S7/S8 parallel-determinism rules ({!Purity}:
@@ -19,8 +18,7 @@ type input = { rel : string;  (** root-relative path *)
 
 type report = {
   diags : Mppm_lint.Diag.t list;  (** suppression-filtered, sorted *)
-  parses : int;  (** files actually parsed this run *)
-  cache_hits : int;  (** files served from the facts cache *)
+  parses : int;  (** files parsed this run *)
   fallbacks : int;  (** files where the compiler-libs parse failed and
       only lexer-derived facts are available *)
   summaries : (string * string * string) list;
@@ -33,15 +31,11 @@ type report = {
 }
 (** The outcome of one analysis run. *)
 
-val analyze :
-  ?cache_file:string -> dunes:(string * string) list -> input list -> report
-(** [analyze ?cache_file ~dunes inputs] runs the full AST layer over the
-    given sources.  [dunes] are the tree's dune files ([(rel, content)]),
-    used to map wrapped-library alias modules to directories.  When
-    [cache_file] is given, per-file facts are loaded from and persisted
-    to it, so a second run over unchanged sources reports zero
-    [parses]. *)
+val analyze : dunes:(string * string) list -> input list -> report
+(** [analyze ~dunes inputs] runs the full AST layer over the given
+    sources.  [dunes] are the tree's dune files ([(rel, content)]), used
+    to map wrapped-library alias modules to directories. *)
 
-val analyze_tree : ?cache_file:string -> root:string -> unit -> report
+val analyze_tree : root:string -> unit -> report
 (** Convenience wrapper: collect the tree with
     {!Mppm_lint.Engine.collect_tree}, read every file and {!analyze}. *)
