@@ -314,25 +314,16 @@ let rank_run common cores count =
   | Wire.Error { message; _ } -> failwith message
   | Wire.Counters _ -> failwith "Mppm.rank: unexpected counters response"
 
-let rank_term =
+let rank_cmd =
   let cores =
     Arg.(value & opt int 4 & info [ "cores" ] ~doc:"Programs per mix.")
   in
   let count =
     Arg.(value & opt int 500 & info [ "mixes" ] ~doc:"Number of mixes.")
   in
-  Term.(const rank_run $ common_term $ cores $ count)
-
-let rank_cmd =
   Cmd.v
     (Cmd.info "rank" ~doc:"Rank the Table 2 LLC configurations with MPPM.")
-    rank_term
-
-let rank_configs_cmd =
-  Cmd.v
-    (Cmd.info "rank-configs"
-       ~doc:"Alias of $(b,rank), kept for older scripts.")
-    rank_term
+    Term.(const rank_run $ common_term $ cores $ count)
 
 (* ---- categories -------------------------------------------------------- *)
 
@@ -797,7 +788,7 @@ let () =
          (Cmd.group (Cmd.info "mppm" ~doc)
             [
               suite_cmd; profile_cmd; predict_cmd; simulate_cmd; compare_cmd;
-              population_cmd; rank_cmd; rank_configs_cmd; categories_cmd;
+              population_cmd; rank_cmd; categories_cmd;
               cache_cmd; trace_record_cmd; trace_stats_cmd; trace_report_cmd;
               client_cmd;
             ]))

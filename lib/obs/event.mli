@@ -54,7 +54,7 @@ val escape_string : string -> string
     quote, backslash, [\n], [\r] and [\t] get their short escapes, other
     control characters become [\u00XX], every other byte passes through.
     The one JSON string escaper of the repo: trace events and the lint
-    JSON and SARIF renderers all use it. *)
+    JSON renderer both use it. *)
 
 val float_field : t -> string -> float option
 (** Numeric field as a float ([Int] coerces); [None] when absent or not a

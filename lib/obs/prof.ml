@@ -12,8 +12,8 @@
 
 type clock = unit -> float
 
-(* Duration histograms: geometric buckets from 1 microsecond up, wide
-   enough for any span a bench run can produce. *)
+(* Pool wait/duration histograms: geometric buckets from 1 microsecond
+   up, wide enough for any task a bench run can produce. *)
 let duration_bounds () =
   Histogram.create_exponential ~first:1e-6 ~ratio:2.0 ~buckets:48
 
@@ -22,16 +22,6 @@ type span = {
   sp_start : float;
   sp_dur : float;
   sp_alloc_bytes : float;
-}
-
-type span_stats = {
-  ss_name : string;
-  ss_count : float;
-  ss_total : float;
-  ss_alloc_bytes : float;
-  ss_p50 : float;
-  ss_p90 : float;
-  ss_p99 : float;
 }
 
 type task = {
@@ -56,18 +46,10 @@ type pool_stats = {
   p_dur_p99 : float;
 }
 
-type span_agg = {
-  mutable sa_count : float;
-  mutable sa_total : float;
-  mutable sa_alloc : float;
-  sa_hist : Histogram.t;
-}
-
 type domain_agg = { mutable da_tasks : float; mutable da_busy : float }
 
 type active = {
   a_clock : clock;
-  a_spans : (string, span_agg) Hashtbl.t;
   mutable a_span_log : span list;  (* reverse emission order *)
   mutable a_jobs : int;
   a_domains : (int, domain_agg) Hashtbl.t;
@@ -87,7 +69,6 @@ let make ~clock =
   Some
     {
       a_clock = clock;
-      a_spans = Hashtbl.create ~random:false 16;
       a_span_log = [];
       a_jobs = 0;
       a_domains = Hashtbl.create ~random:false 16;
@@ -107,21 +88,6 @@ let clock t = Option.map (fun a -> a.a_clock) t
 
 let record_span a name ~start ~dur ~alloc =
   let dur = Float.max 0.0 dur and alloc = Float.max 0.0 alloc in
-  let agg =
-    match Hashtbl.find_opt a.a_spans name with
-    | Some agg -> agg
-    | None ->
-        let agg =
-          { sa_count = 0.0; sa_total = 0.0; sa_alloc = 0.0;
-            sa_hist = duration_bounds () }
-        in
-        Hashtbl.add a.a_spans name agg;
-        agg
-  in
-  agg.sa_count <- agg.sa_count +. 1.0;
-  agg.sa_total <- agg.sa_total +. dur;
-  agg.sa_alloc <- agg.sa_alloc +. alloc;
-  Histogram.observe agg.sa_hist dur;
   a.a_span_log <-
     { sp_name = name; sp_start = start; sp_dur = dur; sp_alloc_bytes = alloc }
     :: a.a_span_log
@@ -141,25 +107,6 @@ let time t name f =
 
 let spans t =
   match t with None -> [] | Some a -> List.rev a.a_span_log
-
-let span_stats t =
-  match t with
-  | None -> []
-  | Some a ->
-      Hashtbl.fold
-        (fun name agg acc ->
-          {
-            ss_name = name;
-            ss_count = agg.sa_count;
-            ss_total = agg.sa_total;
-            ss_alloc_bytes = agg.sa_alloc;
-            ss_p50 = Histogram.quantile agg.sa_hist 0.50;
-            ss_p90 = Histogram.quantile agg.sa_hist 0.90;
-            ss_p99 = Histogram.quantile agg.sa_hist 0.99;
-          }
-          :: acc)
-        a.a_spans []
-      |> List.sort (fun x y -> String.compare x.ss_name y.ss_name)
 
 (* ---- pool task metrics ------------------------------------------------ *)
 

@@ -1,6 +1,7 @@
 (* lint: allow-file S4 profiler readouts are obs API surface; bench/tools consume a task-dependent subset *)
 (** Injected-clock profiling: scoped wall-time spans with Gc allocation
-    deltas, duration quantiles, and the domain pool's per-task metrics.
+    deltas, and the domain pool's per-task metrics with duration
+    quantiles.
 
     The clock is {e caller-supplied} ([bench/], [tools/] and [bin/]
     inject [Unix.gettimeofday]; tests inject counters), so [lib/] never
@@ -43,17 +44,6 @@ type span = {
       (** [Gc.allocated_bytes] delta on the recording domain *)
 }
 
-(** Aggregate statistics over all spans sharing a name. *)
-type span_stats = {
-  ss_name : string;  (** span label *)
-  ss_count : float;  (** completed spans *)
-  ss_total : float;  (** summed duration *)
-  ss_alloc_bytes : float;  (** summed allocation delta *)
-  ss_p50 : float;  (** median span duration (bucketed estimate) *)
-  ss_p90 : float;  (** 90th-percentile span duration *)
-  ss_p99 : float;  (** 99th-percentile span duration *)
-}
-
 val time : t -> string -> (unit -> 'a) -> 'a
 (** [time t name f] runs [f ()] inside a span: clock and allocation
     deltas are recorded under [name] whether [f] returns or raises.
@@ -61,10 +51,6 @@ val time : t -> string -> (unit -> 'a) -> 'a
 
 val spans : t -> span list
 (** Every completed span, in completion order.  Empty for {!null}. *)
-
-val span_stats : t -> span_stats list
-(** Per-name aggregates with p50/p90/p99 duration quantiles, sorted by
-    name.  Empty for {!null}. *)
 
 (** One pool task execution, as recorded by [Mppm_pool.Pool]. *)
 type task = {

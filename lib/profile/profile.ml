@@ -195,26 +195,46 @@ let load path =
               (Printf.sprintf "Profile.load: %s:%d: expected '%s <value>'" path
                  !line_no expected)
       in
+      let bad what expected s =
+        failwith
+          (Printf.sprintf "Profile.load: %s:%d: %s %S is not %s" path !line_no
+             what s expected)
+      in
+      (* Every number goes through one of these two, so a NaN, infinity,
+         negative or zero count is a located [Failure] here rather than a
+         hang or an [Invalid_argument] downstream. *)
+      let positive_int what s =
+        match int_of_string s with
+        | v when v > 0 -> v
+        | _ | (exception Failure _) -> bad what "a positive integer" s
+      in
+      let finite what s =
+        match float_of_string s with
+        | v when v >= 0.0 && v < Float.infinity -> v (* false for NaN *)
+        | _ | (exception Failure _) -> bad what "a finite non-negative number" s
+      in
       let version = next_line () in
       if version <> format_version then
         failwith
           (Printf.sprintf "Profile.load: %s: unsupported format %S" path version);
       let benchmark = field "benchmark" (next_line ()) in
-      let interval_instructions = int_of_string (field "interval" (next_line ())) in
-      let llc_assoc = int_of_string (field "assoc" (next_line ())) in
-      let n = int_of_string (field "intervals" (next_line ())) in
+      let header what = positive_int what (field what (next_line ())) in
+      let interval_instructions = header "interval" in
+      let llc_assoc = header "assoc" in
+      let n = header "intervals" in
       let parse_interval line =
         match String.split_on_char ' ' line with
         | insns :: cycles :: stall :: acc :: miss :: counters
           when List.length counters = llc_assoc + 1 ->
             {
-              instructions = int_of_string insns;
-              cycles = float_of_string cycles;
-              memory_stall_cycles = float_of_string stall;
-              llc_accesses = float_of_string acc;
-              llc_misses = float_of_string miss;
+              instructions = positive_int "instructions" insns;
+              cycles = finite "cycles" cycles;
+              memory_stall_cycles = finite "stall" stall;
+              llc_accesses = finite "accesses" acc;
+              llc_misses = finite "misses" miss;
               sdc =
-                Sdc.of_list ~assoc:llc_assoc (List.map float_of_string counters);
+                Sdc.of_list ~assoc:llc_assoc
+                  (List.map (finite "counter") counters);
             }
         | _ ->
             failwith
@@ -222,7 +242,10 @@ let load path =
                  !line_no)
       in
       let intervals = Array.init n (fun _ -> parse_interval (next_line ())) in
-      make ~benchmark ~interval_instructions ~llc_assoc intervals)
+      try make ~benchmark ~interval_instructions ~llc_assoc intervals
+      with Invalid_argument msg ->
+        failwith
+          (Printf.sprintf "Profile.load: %s:%d: %s" path !line_no msg))
 
 let pp_summary ppf t =
   Format.fprintf ppf

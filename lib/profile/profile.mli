@@ -100,9 +100,10 @@ val save : t -> string -> unit  (* mppm: unit _ *)
     an interrupted run never sees a truncated file. *)
 
 val load : string -> t  (* mppm: unit profile *)
-(** [load path] reads a profile written by {!save}.  Raises [Failure] with
-    a line diagnostic on malformed input or an unsupported format
-    version. *)
+(** [load path] reads a profile written by {!save}.  Raises [Failure]
+    ["Profile.load: <path>:<line>: ..."] on malformed input — including
+    any number that is not a positive integer count or a finite,
+    non-negative float — or an unsupported format version. *)
 
 val pp_summary : Format.formatter -> t -> unit  (* mppm: unit _ *)
 (** One-line whole-trace summary: CPI, memory CPI, MPKI, intervals. *)

@@ -106,7 +106,7 @@ let pp_batch pp ~mixes ppf results =
 
 (* ---- ranking --------------------------------------------------------- *)
 
-let rank_configs ctx ~cores ~count =
+let rank ctx ~cores ~count =
   let rng = Context.rng ctx "cli-rank" in
   let mixes = Sampler.random_mixes rng ~cores ~count in
   let means =
@@ -227,7 +227,7 @@ let handle ctx req =
           }
       else
         guarded @@ fun () ->
-        let ranking = rank_configs ctx ~cores ~count in
+        let ranking = rank ctx ~cores ~count in
         Wire.Output
           (render (fun ppf -> pp_ranking ~cores ~count ppf ranking))
   | Wire.Stats ->

@@ -41,7 +41,7 @@ val pp_batch :
     multi-mix batch separates results with ["== mix a+b+c+d =="] headers,
     exactly as the one-shot CLI does. *)
 
-val rank_configs :
+val rank :
   Mppm_experiments.Context.t ->
   cores:int ->
   count:int ->
@@ -53,8 +53,7 @@ val rank_configs :
 
 val pp_ranking :
   cores:int -> count:int -> Format.formatter -> (int * float) array -> unit
-(** Renders a {!rank_configs} result as the CLI's numbered ranking
-    table. *)
+(** Renders a {!rank} result as the CLI's numbered ranking table. *)
 
 val handle :
   Mppm_experiments.Context.t -> Wire.request -> Wire.response

@@ -344,17 +344,7 @@ let test_prof_spans () =
         s.Prof.sp_dur;
       Alcotest.(check bool) "allocation delta is non-negative" true
         (s.Prof.sp_alloc_bytes >= 0.0))
-    spans;
-  match Prof.span_stats p with
-  | [ a; b ] ->
-      Alcotest.(check string) "stats sorted by name" "alpha" a.Prof.ss_name;
-      Alcotest.(check string) "stats sorted by name (2)" "beta" b.Prof.ss_name;
-      Alcotest.(check (float 0.0)) "alpha count" 2.0 a.Prof.ss_count;
-      Alcotest.(check (float 1e-9)) "alpha total" 2.0 a.Prof.ss_total;
-      Alcotest.(check bool) "quantiles ordered" true
-        (a.Prof.ss_p50 <= a.Prof.ss_p90 && a.Prof.ss_p90 <= a.Prof.ss_p99)
-  | stats ->
-      Alcotest.failf "expected 2 span stats, got %d" (List.length stats)
+    spans
 
 let test_prof_pool_stats () =
   let p = Prof.make ~clock:(counter_clock ()) in
@@ -564,7 +554,7 @@ let tests =
     ( "obs.prof",
       [
         Alcotest.test_case "null profiler is a no-op" `Quick test_prof_null;
-        Alcotest.test_case "spans and per-name stats" `Quick test_prof_spans;
+        Alcotest.test_case "spans in completion order" `Quick test_prof_spans;
         Alcotest.test_case "pool task aggregates" `Quick test_prof_pool_stats;
         Alcotest.test_case "profiled run bit-identical to unprofiled" `Quick
           test_profiled_equals_unprofiled;

@@ -183,6 +183,42 @@ let test_load_rejects_garbage () =
       Alcotest.(check bool) "bad header fails" true
         (try ignore (Profile.load path); false with Failure _ -> true))
 
+(* Each case rewrites one number of a saved profile's second interval
+   (line 7: version, benchmark, interval, assoc and intervals come
+   first).  A non-finite, negative or unparsable float, or a zero
+   instruction count, must be a [Failure] that names the line, not a
+   hang in the model or an [Invalid_argument] from [make]. *)
+let test_load_rejects_bad_numbers () =
+  let path = Filename.temp_file "mppm-test" ".prof" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Profile.save (sample_profile ()) path;
+      let ic = open_in_bin path in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let lines = Array.of_list (String.split_on_char '\n' text) in
+      List.iter
+        (fun (column, value) ->
+          let edited = Array.copy lines in
+          let fields = Array.of_list (String.split_on_char ' ' lines.(6)) in
+          fields.(column) <- value;
+          edited.(6) <- String.concat " " (Array.to_list fields);
+          let oc = open_out_bin path in
+          output_string oc (String.concat "\n" (Array.to_list edited));
+          close_out oc;
+          let case = Printf.sprintf "field %d = %s" column value in
+          match Profile.load path with
+          | _ -> Alcotest.failf "%s: load accepted it" case
+          | exception Failure msg ->
+              let where = Printf.sprintf "Profile.load: %s:7: " path in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: message %S names the line" case msg)
+                true
+                (String.length msg >= String.length where
+                && String.sub msg 0 (String.length where) = where))
+        [ (1, "nan"); (1, "inf"); (2, "-5"); (5, "abc"); (0, "0") ])
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -217,6 +253,8 @@ let tests =
         Alcotest.test_case "reduce associativity" `Quick test_reduce_associativity;
         Alcotest.test_case "save/load roundtrip" `Quick test_save_load_roundtrip;
         Alcotest.test_case "load rejects garbage" `Quick test_load_rejects_garbage;
+        Alcotest.test_case "load rejects bad numbers" `Quick
+          test_load_rejects_bad_numbers;
       ] );
     ("profile.properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]

@@ -1,6 +1,6 @@
 (* Tests for the AST analysis layer (tools/sema): facts extraction
-   totality, rules S1-S4, shared suppression, the SARIF golden, and the
-   --fix round-trip.
+   totality, rules S1-S8, the hot-path rules P1-P4, the unit rules U1-U3,
+   shared suppression, and the lint.exe command-line surface.
 
    The acceptance test for S2 mutates the *real* workload generator
    source (replacing the fetch stream with the data stream) and asserts
@@ -9,8 +9,6 @@
 
 module Diag = Mppm_lint.Diag
 module Engine = Mppm_lint.Engine
-module Fix = Mppm_lint.Fix
-module Sarif = Mppm_lint.Sarif
 module Facts = Mppm_sema.Facts
 module Effects = Mppm_sema.Effects
 module Sema = Mppm_sema.Sema
@@ -1029,10 +1027,15 @@ let test_driver_unknown_rule_and_report () =
         Alcotest.(check int) "unknown rule exits 2" 2 rc;
         Alcotest.(check bool) "message names the rule" true
           (contains (read_file out) "lint: unknown rule BOGUS");
-        let rc = run "--only NOPE" in
-        Alcotest.(check int) "unknown --only exits 2" 2 rc;
+        let rc = run "--rules NOPE" in
+        Alcotest.(check int) "unknown --rules entry exits 2" 2 rc;
         Alcotest.(check bool) "known-rule listing is alphabetized" true
           (contains (read_file out) "U1 U2 U3)");
+        (* Retired flags stay retired: each is a usage error. *)
+        List.iter
+          (fun args ->
+            Alcotest.(check int) (args ^ " exits 2") 2 (run args))
+          [ "--fix"; "--only D1"; "--format sarif" ];
         let rc = run "--rules U1,U1" in
         Alcotest.(check int) "duplicate --rules entries dedup" 0 rc;
         let rc = run "--report hot" in
@@ -1047,87 +1050,6 @@ let test_driver_unknown_rule_and_report () =
           (contains (read_file out) "none with an opaque unit");
         Sys.remove out
       end
-
-(* ---- SARIF golden ---------------------------------------------------------- *)
-
-let fixture_diags () =
-  let token =
-    Engine.lint_source ~rel:"lib/demo/tbl.ml" "let t = Hashtbl.create 16\n"
-  in
-  let sema =
-    analyze [ ("lib/demo/leaky.ml", leaky); ("lib/demo/acc.ml", accum) ]
-  in
-  List.sort Diag.compare (token @ sema.Sema.diags)
-
-let test_sarif_golden () =
-  let rendered = Sarif.render (fixture_diags ()) in
-  let golden_path = "golden_lint.sarif" in
-  if not (Sys.file_exists golden_path) then
-    Alcotest.failf "missing golden file %s" golden_path
-  else
-    Alcotest.(check string) "SARIF output matches golden"
-      (read_file golden_path) rendered
-
-let test_sarif_shape () =
-  let s = Sarif.render (fixture_diags ()) in
-  List.iter
-    (fun frag ->
-      Alcotest.(check bool) (Printf.sprintf "has %s" frag) true (contains s frag))
-    [
-      "\"version\": \"2.1.0\"";
-      "sarif-2.1.0.json";
-      "\"name\": \"mppm-lint\"";
-      "\"rules\"";
-      "\"ruleId\":\"S1\"";
-      "\"ruleIndex\"";
-      "\"uriBaseId\":\"%SRCROOT%\"";
-      "\"startLine\":";
-      "\"uri\":\"lib/demo/leaky.ml\"";
-    ];
-  Alcotest.(check bool) "empty stream still renders a run" true
-    (contains (Sarif.render []) "\"results\"")
-
-(* ---- --fix round-trip ------------------------------------------------------ *)
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
-let test_fix_round_trip () =
-  let root = Filename.temp_file "mppm_fix" "" in
-  Sys.remove root;
-  Unix.mkdir root 0o755;
-  Unix.mkdir (Filename.concat root "lib") 0o755;
-  Unix.mkdir (Filename.concat root "lib/demo") 0o755;
-  let file = Filename.concat root "lib/demo/box.ml" in
-  let oc = open_out file in
-  output_string oc
-    "let t = Hashtbl.create 16\n\
-     let f () = failwith \"boom\"\n\
-     (* lint: allow D1 kept bare on purpose *)\n\
-     let u = Hashtbl.create 8\n";
-  close_out oc;
-  let fixed = Fix.fix_tree ~root in
-  Alcotest.(check (list (pair string int))) "one file, two edits"
-    [ ("lib/demo/box.ml", 2) ] fixed;
-  let content = read_file file in
-  Alcotest.(check bool) "~random:false inserted" true
-    (contains content "Hashtbl.create ~random:false 16");
-  Alcotest.(check bool) "message prefixed with module" true
-    (contains content "failwith \"Box: boom\"");
-  Alcotest.(check bool) "suppressed site untouched" true
-    (contains content "let u = Hashtbl.create 8");
-  (* Round-trip: the fixed tree re-lints clean of the fixable shapes and a
-     second pass changes nothing. *)
-  let diags = Engine.lint_source ~rel:"lib/demo/box.ml" content in
-  Alcotest.(check (list string)) "no E1 left" []
-    (List.map (fun d -> d.Diag.rule)
-       (List.filter (fun d -> d.Diag.rule = "E1") diags));
-  Alcotest.(check (list (pair string int))) "idempotent" [] (Fix.fix_tree ~root);
-  rm_rf root
 
 (* ---- Whole-tree assertions (AST layer) ------------------------------------- *)
 
@@ -1212,10 +1134,4 @@ let tests =
       List.map QCheck_alcotest.to_alcotest
         (qcheck_tests @ lattice_tests @ hot_closure_tests
         @ units_lattice_tests) );
-    ( "sema.output",
-      [
-        Alcotest.test_case "SARIF golden" `Quick test_sarif_golden;
-        Alcotest.test_case "SARIF shape" `Quick test_sarif_shape;
-        Alcotest.test_case "--fix round trip" `Quick test_fix_round_trip;
-      ] );
   ]

@@ -275,11 +275,11 @@ let test_dispatch_rank_deterministic () =
   Alcotest.(check bool) "rank lists every config" true
     (contains a
        (Printf.sprintf "%d. config #" Mppm_cache.Configs.llc_config_count));
-  (* The handler is exactly rank_configs fed through pp_ranking. *)
+  (* The handler is exactly Dispatch.rank fed through pp_ranking. *)
   let direct =
     Format.asprintf "%t" (fun fmt ->
         Dispatch.pp_ranking ~cores:2 ~count:3 fmt
-          (Dispatch.rank_configs ctx ~cores:2 ~count:3))
+          (Dispatch.rank ctx ~cores:2 ~count:3))
   in
   Alcotest.(check string) "handle output is the rendered ranking" direct a
 

@@ -7,8 +7,8 @@
 
 val normalize_rel : string -> string
 (** Canonicalize a root-relative path: strip leading ["./"] segments and
-    use ['/'] separators, so diagnostics, SARIF locations and editors all
-    see the same stable path whatever form the caller passed. *)
+    use ['/'] separators, so diagnostics and editors see the same stable
+    path whatever form the caller passed. *)
 
 val suppress :
   allows:(string * int) list -> allow_files:string list -> Diag.t list ->

@@ -6,20 +6,18 @@
    Mppm_sema).  Both share root-relative paths and the
    [(* lint: allow ... *)] suppression comments.
 
-   Usage: lint.exe [--root DIR] [--format text|json|sarif] [--only RULE]...
-                   [--rules R1,R2] [--fix] [--verbose] [--report hot|units] *)
+   Usage: lint.exe [--root DIR] [--format text|json] [--rules R1,R2]
+                   [--verbose] [--report hot|units] *)
 
 module Diag = Mppm_lint.Diag
 module Engine = Mppm_lint.Engine
 module Rules = Mppm_lint.Rules
-module Fix = Mppm_lint.Fix
-module Sarif = Mppm_lint.Sarif
 
-type format = Text | Json | Sarif
+type format = Text | Json
 
 let usage =
-  "lint.exe [--root DIR] [--format text|json|sarif] [--only RULE]... \
-   [--rules R1,R2] [--fix] [--verbose] [--report hot|units]"
+  "lint.exe [--root DIR] [--format text|json] [--rules R1,R2] [--verbose] \
+   [--report hot|units]"
 
 (* --report hot: the ranked hot-path inventory.  Findings stay with the
    normal lint run; this mode is the work-list view — every function the
@@ -136,54 +134,10 @@ let report_units (report : Mppm_sema.Sema.report) =
   end;
   opaque_hot = []
 
-(* --fix, sema side: insert a missing (* mppm: unit ... *) annotation at
-   the end of an .mli val line whose unit the strict (fallback-free)
-   inference determined uniquely from its definition.  End-of-line
-   placement keeps the annotation inside the lexer's attachment window
-   without disturbing M1's doc-comment association.  Idempotent: an
-   annotated item is never suggested again. *)
-let apply_unit_suggestions ~root suggestions =
-  let by_file = Hashtbl.create 16 in
-  List.iter
-    (fun (rel, line, name, u) ->
-      let prev =
-        match Hashtbl.find_opt by_file rel with Some l -> l | None -> []
-      in
-      Hashtbl.replace by_file rel ((line, name, u) :: prev))
-    suggestions;
-  Hashtbl.fold (fun rel items acc -> (rel, items) :: acc) by_file []
-  |> List.sort compare
-  |> List.map (fun (rel, items) ->
-         let path = Filename.concat root rel in
-         let ic = open_in_bin path in
-         let text =
-           Fun.protect
-             ~finally:(fun () -> close_in_noerr ic)
-             (fun () -> really_input_string ic (in_channel_length ic))
-         in
-         let lines = String.split_on_char '\n' text in
-         let fixed =
-           List.mapi
-             (fun i l ->
-               match
-                 List.find_opt (fun (line, _, _) -> line = i + 1) items
-               with
-               | Some (_, _, u) ->
-                   Printf.sprintf "%s  (* mppm: unit %s *)" l u
-               | None -> l)
-             lines
-         in
-         let oc = open_out_bin path in
-         Fun.protect
-           ~finally:(fun () -> close_out_noerr oc)
-           (fun () -> output_string oc (String.concat "\n" fixed));
-         (rel, List.length items))
-
 let () =
   let root = ref "." in
   let format = ref Text in
-  let only = ref [] in
-  let fix = ref false in
+  let selected = ref [] in
   let verbose = ref false in
   let report_mode = ref "" in
   let add_rule r =
@@ -192,20 +146,15 @@ let () =
         (String.concat " " (List.sort compare Rules.all_rule_ids));
       exit 2
     end;
-    if not (List.mem r !only) then only := r :: !only
+    if not (List.mem r !selected) then selected := r :: !selected
   in
   let spec =
     [
       ("--root", Arg.Set_string root, "DIR  repository root to lint (default .)");
       ( "--format",
         Arg.Symbol
-          ( [ "text"; "json"; "sarif" ],
-            fun s ->
-              format := (match s with "json" -> Json | "sarif" -> Sarif | _ -> Text) ),
+          ([ "text"; "json" ], fun s -> format := if s = "json" then Json else Text),
         "  output format (default text)" );
-      ( "--only",
-        Arg.String add_rule,
-        "RULE  restrict to one rule id (repeatable)" );
       ( "--rules",
         Arg.String
           (fun s ->
@@ -215,10 +164,6 @@ let () =
                 if r <> "" then add_rule r)
               (String.split_on_char ',' s)),
         "R1,R2  restrict to a comma-separated set of rule ids" );
-      ( "--fix",
-        Arg.Set fix,
-        "  rewrite sources in place, applying the mechanical fixes (D1 \
-         ~random:false, E1 message prefix) before linting" );
       ( "--verbose",
         Arg.Set verbose,
         "  print per-layer statistics (sema parses / fallbacks)"
@@ -252,30 +197,7 @@ let () =
       (String.concat " " Engine.scanned_dirs);
     exit 2
   end;
-  if !fix then begin
-    let fixed = Fix.fix_tree ~root:!root in
-    List.iter
-      (fun (rel, n) ->
-        Printf.printf "fixed %s (%d change%s)\n" rel n
-          (if n = 1 then "" else "s"))
-      fixed
-  end;
-  let analyze () = Mppm_sema.Sema.analyze_tree ~root:!root () in
-  let report = analyze () in
-  let report =
-    if not !fix then report
-    else
-      match report.Mppm_sema.Sema.units.Mppm_sema.Units.u_suggest with
-      | [] -> report
-      | suggestions ->
-          List.iter
-            (fun (rel, n) ->
-              Printf.printf "fixed %s (%d unit annotation%s)\n" rel n
-                (if n = 1 then "" else "s"))
-            (apply_unit_suggestions ~root:!root suggestions);
-          (* Re-analyze so findings and reports reflect the fixed tree. *)
-          analyze ()
-  in
+  let report = Mppm_sema.Sema.analyze_tree ~root:!root () in
   if !report_mode = "hot" then begin
     report_hot report;
     exit 0
@@ -284,7 +206,7 @@ let () =
   let token_diags = Engine.lint_tree ~root:!root in
   let diags = List.sort Diag.compare (token_diags @ report.Mppm_sema.Sema.diags) in
   let diags =
-    match !only with
+    match !selected with
     | [] -> diags
     | rules -> List.filter (fun d -> List.mem d.Diag.rule rules) diags
   in
@@ -294,7 +216,6 @@ let () =
   let errors = Engine.errors diags in
   (match !format with
   | Json -> print_endline (Diag.list_to_json diags)
-  | Sarif -> print_string (Sarif.render diags)
   | Text ->
       List.iter (fun d -> print_endline (Diag.to_text d)) diags;
       Printf.printf "%d finding%s (%d error%s, %d warning%s)\n"

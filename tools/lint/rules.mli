@@ -42,8 +42,9 @@ type ctx = {
 }
 
 val all_rule_ids : string list
-(** The known rule identifiers across both analysis layers, in report
-    order (an alias for {!Rule_info.all_ids}). *)
+(** The known rule identifiers across both analysis layers: the token
+    rules, then the AST rules (S1-S8, P1-P4, U1-U3).  The rule table in
+    docs/static-analysis.md describes each one. *)
 
 val context_of_rel : string -> ctx
 (** Derive a {!ctx} from a root-relative path. *)

@@ -26,8 +26,8 @@ type report = {
   hot : Hotpath.entry list;
       (** ranked hot-function inventory (the [--report hot] payload) *)
   units : Units.analysis;
-      (** unit-inference outcome: coverage map ([--report units]),
-          per-function classes and the [--fix] annotation suggestions *)
+      (** unit-inference outcome: findings, the coverage map
+          ([--report units]) and per-function classes *)
 }
 (** The outcome of one analysis run. *)
 

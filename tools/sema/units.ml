@@ -294,7 +294,6 @@ type ctx = {
   cx_env : Resolve.env;
   cx_table : (string, info) Hashtbl.t;
   cx_fields : (string, t) Hashtbl.t;
-  cx_fallback : bool;
   mutable cx_emit : bool;
   cx_diags : Diag.t list ref;
   mutable cx_facts : Facts.t;
@@ -319,10 +318,13 @@ let check_assign cx ~line ~what declared actual =
       emit cx ~line rule (Printf.sprintf "%s in %s" phrase what)
   | None -> ()
 
+(* The unit a bare name carries by convention alone, [Any] if none. *)
+let named name = Option.value ~default:Any (fallback_of_name name)
+
 let field_unit cx f =
   match Hashtbl.find_opt cx.cx_fields f with
-  | Some u -> Some u
-  | None -> if cx.cx_fallback then fallback_of_name f else None
+  | Some u -> u
+  | None -> named f
 
 let lookup_info cx path =
   match path with
@@ -352,17 +354,8 @@ let rec eval cx scope (e : Facts.uexpr) : t =
       | _ -> (
           match lookup_info cx path with
           | Some i -> if i.i_params = [] then i.i_result else Opaque
-          | None -> (
-              let name =
-                match List.rev path with n :: _ -> n | [] -> ""
-              in
-              if cx.cx_fallback then
-                match fallback_of_name name with
-                | Some u -> u
-                | None -> Any
-              else Any)))
-  | Facts.U_field f -> (
-      match field_unit cx f with Some u -> u | None -> Any)
+          | None -> named (match List.rev path with n :: _ -> n | [] -> "")))
+  | Facts.U_field f -> field_unit cx f
   | Facts.U_apply { ua_path; ua_args; ua_line } -> (
       let args = List.map (fun (lbl, a) -> (lbl, eval cx scope a)) ua_args in
       match lookup_info cx ua_path with
@@ -412,13 +405,7 @@ let rec eval cx scope (e : Facts.uexpr) : t =
   | Facts.U_fun { uf_params; uf_body } ->
       let scope =
         List.fold_left
-          (fun sc (_, name) ->
-            let u =
-              if cx.cx_fallback then
-                match fallback_of_name name with Some u -> u | None -> Any
-              else Any
-            in
-            (name, u) :: sc)
+          (fun sc (_, name) -> (name, named name) :: sc)
           scope uf_params
       in
       ignore (eval cx scope uf_body);
@@ -547,7 +534,7 @@ let fn_key (f : Facts.t) (fn : Facts.fn) =
 (* Bind a function's parameters for body evaluation: annotation-declared
    units first (labels by name, positionals in order), the naming
    fallback for the rest. *)
-let param_scope cx (fn : Facts.fn) (i : info) =
+let param_scope (fn : Facts.fn) (i : info) =
   let positional =
     List.filter (fun (l, _) -> l = None) i.i_params |> List.map snd |> ref
   in
@@ -571,15 +558,12 @@ let param_scope cx (fn : Facts.fn) (i : info) =
       let u =
         match declared with
         | Some u when not (equal u Any) -> u
-        | _ -> (
-            if cx.cx_fallback then
-              match fallback_of_name name with Some u -> u | None -> Any
-            else Any)
+        | _ -> named name
       in
       (name, u))
     fn.Facts.fn_uparams
 
-let build_tables ~fallback (facts_list : Facts.t list) =
+let build_tables (facts_list : Facts.t list) =
   let table : (string, info) Hashtbl.t = Hashtbl.create ~random:false 512 in
   let fields : (string, t) Hashtbl.t = Hashtbl.create ~random:false 128 in
   (* Field annotations from every file; a conflicting re-declaration of
@@ -596,19 +580,18 @@ let build_tables ~fallback (facts_list : Facts.t list) =
           | _ -> Hashtbl.replace fields fname u)
         f.Facts.field_units)
     facts_list;
-  if fallback then
-    (* Convention-derived field units fill the gaps but never override
-       an annotation. *)
-    List.iter
-      (fun (f : Facts.t) ->
-        List.iter
-          (fun (fname, _) ->
-            if not (Hashtbl.mem fields fname) then
-              match fallback_of_name fname with
-              | Some u -> Hashtbl.replace fields fname u
-              | None -> ())
-          f.Facts.field_units)
-      facts_list;
+  (* Convention-derived field units fill the gaps but never override an
+     annotation. *)
+  List.iter
+    (fun (f : Facts.t) ->
+      List.iter
+        (fun (fname, _) ->
+          if not (Hashtbl.mem fields fname) then
+            match fallback_of_name fname with
+            | Some u -> Hashtbl.replace fields fname u
+            | None -> ())
+        f.Facts.field_units)
+    facts_list;
   (* .mli val annotations, keyed like functions. *)
   let mli_annot : (string, string) Hashtbl.t =
     Hashtbl.create ~random:false 256
@@ -662,14 +645,13 @@ let build_tables ~fallback (facts_list : Facts.t list) =
 
 let rounds = 5
 
-let run_inference ~fallback env (facts_list : Facts.t list) =
-  let table, fields = build_tables ~fallback facts_list in
+let run_inference env (facts_list : Facts.t list) =
+  let table, fields = build_tables facts_list in
   let cx =
     {
       cx_env = env;
       cx_table = table;
       cx_fields = fields;
-      cx_fallback = fallback;
       cx_emit = false;
       cx_diags = ref [];
       cx_facts = List.hd facts_list;
@@ -694,7 +676,7 @@ let run_inference ~fallback env (facts_list : Facts.t list) =
   for _ = 1 to rounds do
     each_fn (fun _ fn i ->
         if not i.i_annotated then
-          i.i_result <- eval cx (param_scope cx fn i) fn.Facts.fn_ubody)
+          i.i_result <- eval cx (param_scope fn i) fn.Facts.fn_ubody)
   done;
   (cx, each_fn)
 
@@ -721,21 +703,20 @@ type analysis = {
   u_diags : Diag.t list;
   u_coverage : coverage list;
   u_fn_class : (string * fn_class) list;
-  u_suggest : (string * int * string * string) list;
 }
 
 let analyze env (facts_list : Facts.t list) =
   match facts_list with
-  | [] -> { u_diags = []; u_coverage = []; u_fn_class = []; u_suggest = [] }
+  | [] -> { u_diags = []; u_coverage = []; u_fn_class = [] }
   | _ ->
-      let cx, each_fn = run_inference ~fallback:true env facts_list in
+      let cx, each_fn = run_inference env facts_list in
       (* Findings pass: re-evaluate every body once with the converged
          table, emitting diagnostics, and check declared-vs-inferred
          consistency for annotated functions. *)
       cx.cx_emit <- true;
       let classes = ref [] in
       each_fn (fun fa fn i ->
-          let inferred = eval cx (param_scope cx fn i) fn.Facts.fn_ubody in
+          let inferred = eval cx (param_scope fn i) fn.Facts.fn_ubody in
           if i.i_annotated then
             check_assign cx ~line:fn.Facts.fn_line
               ~what:
@@ -786,42 +767,10 @@ let analyze env (facts_list : Facts.t list) =
           facts_list
         |> List.sort compare
       in
-      (* Suggestion pass: strict inference (no naming fallback), so a
-         suggested annotation is backed purely by annotation-rooted
-         units flowing through the definition. *)
-      let scx, _ = run_inference ~fallback:false env facts_list in
-      let suggest =
-        List.concat_map
-          (fun (f : Facts.t) ->
-            if
-              f.Facts.is_mli
-              && in_lib f.Facts.rel
-              && not f.Facts.parse_failed
-            then
-              let key = Facts.unit_key_of_rel f.Facts.rel in
-              List.filter_map
-                (fun (name, line) ->
-                  if List.mem_assoc name f.Facts.val_units then None
-                  else
-                    match
-                      Hashtbl.find_opt scx.cx_table (key ^ ":" ^ name)
-                    with
-                    | Some i when not i.i_annotated -> (
-                        match i.i_result with
-                        | Known _ as u ->
-                            Some (f.Facts.rel, line, name, to_string u)
-                        | _ -> None)
-                    | _ -> None)
-                f.Facts.mli_vals
-            else [])
-          facts_list
-        |> List.sort compare
-      in
       {
         u_diags = List.rev !(cx.cx_diags);
         u_coverage = coverage;
         u_fn_class = List.sort compare !classes;
-        u_suggest = suggest;
       }
 
 let check env facts_list = (analyze env facts_list).u_diags

@@ -114,16 +114,12 @@ type analysis = {
       (** every scanned function keyed [unit_key ^ ":" ^ fn_name] — the
           same keys as {!Hotpath.entry.h_key}, so the driver can assert
           no hot-path function has an opaque unit *)
-  u_suggest : (string * int * string * string) list;
-      (** [(rel, line, name, unit)] — [.mli] items with no annotation
-          whose unit is uniquely inferred from their definition with the
-          naming fallback disabled; the [--fix] payload *)
 }
 (** The full outcome of the unit pass. *)
 
 val analyze : Resolve.env -> Facts.t list -> analysis
-(** Run annotation seeding, the cross-module inference fixpoint, the
-    finding pass and the strict (fallback-free) suggestion pass. *)
+(** Run annotation seeding, the cross-module inference fixpoint and the
+    finding pass. *)
 
 val check : Resolve.env -> Facts.t list -> Mppm_lint.Diag.t list
 (** Just the findings of {!analyze}. *)
