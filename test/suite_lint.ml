@@ -4,11 +4,12 @@
    The tree test lints the real sources (made visible in the build
    directory via source_tree deps in test/dune) and asserts the repo is
    lint-clean; the synthetic tests feed each rule a positive and a
-   suppressed snippet through [Engine.lint_source]. *)
+   suppressed snippet through [Sema.analyze]. *)
 
 module Diag = Mppm_lint.Diag
 module Engine = Mppm_lint.Engine
 module Rules = Mppm_lint.Rules
+module Sema = Mppm_sema.Sema
 module Invariant = Mppm_util.Invariant
 module Fingerprint = Mppm_util.Fingerprint
 module Model = Mppm_core.Model
@@ -35,7 +36,7 @@ let test_tree_is_clean () =
   match lint_root () with
   | None -> Alcotest.fail "cannot locate the source tree to lint"
   | Some root ->
-      let findings = Engine.lint_tree ~root in
+      let findings = (Sema.analyze_tree ~root ()).Sema.diags in
       let errors = Engine.errors findings in
       let render ds =
         String.concat "\n" (List.map Diag.to_text ds)
@@ -45,8 +46,10 @@ let test_tree_is_clean () =
 
 (* ---- Synthetic rule cases ----------------------------------------------- *)
 
-let rules_of ~rel src =
-  List.map (fun d -> d.Diag.rule) (Engine.lint_source ~rel src)
+let lint ~rel content =
+  (Sema.analyze ~dunes:[] [ { Sema.rel; content } ]).Sema.diags
+
+let rules_of ~rel src = List.map (fun d -> d.Diag.rule) (lint ~rel src)
 
 let has_rule rule ~rel src = List.mem rule (rules_of ~rel src)
 
@@ -73,7 +76,10 @@ let test_d1_wall_clock_and_hash () =
     (has_rule "D1" ~rel:"lib/core/foo.ml"
        "let t = Hashtbl.create ~random:false 16\n");
   Alcotest.(check bool) "outside lib not D1" false
-    (has_rule "D1" ~rel:"bench/foo.ml" "let t = Hashtbl.create 16\n")
+    (has_rule "D1" ~rel:"bench/foo.ml" "let t = Hashtbl.create 16\n");
+  Alcotest.(check bool) "~random:false of the next call does not count" true
+    (has_rule "D1" ~rel:"lib/core/foo.ml"
+       "let e = Hashtbl.create 16\nlet e2 = Hashtbl.create ~random:false 4\n")
 
 let test_d2_random_outside_lib () =
   Alcotest.(check bool) "Random in bench flagged as D2" true
@@ -97,7 +103,16 @@ let test_f1_float_equality () =
        "let f x = if Float.equal x 0.5 then 1 else 2\n");
   Alcotest.(check bool) "suppression works" false
     (has_rule "F1" ~rel:"lib/core/foo.ml"
-       "(* lint: allow F1 *)\nlet f x = if x = 0.5 then 1 else 2\n")
+       "(* lint: allow F1 *)\nlet f x = if x = 0.5 then 1 else 2\n");
+  Alcotest.(check bool) "comparison bound by let-in flagged" true
+    (has_rule "F1" ~rel:"lib/core/foo.ml" "let g3 x = let y = x = 0.25 in y\n");
+  Alcotest.(check bool) "comparison under not flagged" true
+    (has_rule "F1" ~rel:"lib/core/foo.ml" "let q x = not (x = 0.5)\n");
+  Alcotest.(check bool) "negative literal operand flagged" true
+    (has_rule "F1" ~rel:"lib/core/foo.ml" "let g2 x = x <> -2.5 && x > 0.0\n");
+  Alcotest.(check bool) "compare passed with float operands flagged" true
+    (has_rule "F1" ~rel:"lib/core/foo.ml"
+       "let a xs = List.sort compare [0.5; 1.0]\n")
 
 let test_m1_mli_docs () =
   Alcotest.(check bool) "undocumented val flagged" true
@@ -121,7 +136,10 @@ let test_e1_error_prefixes () =
     (has_rule "E1" ~rel:"lib/core/foo.ml"
        "let f () = invalid_arg \"Foo: bad input\"\n");
   Alcotest.(check bool) "outside lib ignored" false
-    (has_rule "E1" ~rel:"bin/foo.ml" "let f () = failwith \"bad input\"\n")
+    (has_rule "E1" ~rel:"bin/foo.ml" "let f () = failwith \"bad input\"\n");
+  Alcotest.(check bool) "failwith passed before its literal flagged" true
+    (has_rule "E1" ~rel:"lib/core/foo.ml"
+       "let f () = Printf.ksprintf failwith \"no prefix %d\" 3\n")
 
 let test_o1_console_output () =
   Alcotest.(check bool) "print_endline in lib flagged" true
@@ -153,7 +171,7 @@ let test_o1_console_output () =
 
 let test_testish_scope () =
   let o1 rel src =
-    List.filter (fun d -> d.Diag.rule = "O1") (Engine.lint_source ~rel src)
+    List.filter (fun d -> d.Diag.rule = "O1") (lint ~rel src)
   in
   (match o1 "test/foo.ml" "let f () = print_endline \"x\"\n" with
   | [ d ] ->
@@ -165,7 +183,7 @@ let test_testish_scope () =
       Alcotest.(check bool) "O1 downgraded to warning in examples/" true
         (d.Diag.severity = Diag.Warning)
   | ds -> Alcotest.failf "expected one O1, got %d" (List.length ds));
-  (match Engine.lint_source ~rel:"test/foo.mli" "val f : int -> int\n" with
+  (match lint ~rel:"test/foo.mli" "val f : int -> int\n" with
   | [ d ] ->
       Alcotest.(check string) "M1 applies to test .mli" "M1" d.Diag.rule;
       Alcotest.(check bool) "as a warning" true (d.Diag.severity = Diag.Warning)
@@ -184,7 +202,7 @@ let test_allow_file () =
 
 let test_dune_unix_in_lib () =
   let findings =
-    Engine.lint_dune ~rel:"lib/core/dune"
+    Rules.check_dune ~rel:"lib/core/dune"
       "(library (name mppm_core) (libraries unix))\n"
   in
   Alcotest.(check bool) "unix link flagged" true
@@ -192,7 +210,7 @@ let test_dune_unix_in_lib () =
   Alcotest.(check (list string)) "unix as substring not flagged" []
     (List.map
        (fun d -> d.Diag.rule)
-       (Engine.lint_dune ~rel:"lib/core/dune"
+       (Rules.check_dune ~rel:"lib/core/dune"
           "(library (name mppm_unixish))\n"))
 
 let contains haystack needle =
@@ -221,11 +239,11 @@ let test_diag_render () =
 
 let qcheck_tests =
   [
-    QCheck.Test.make ~name:"lexer/linter total on arbitrary input" ~count:500
+    QCheck.Test.make ~name:"linter total on arbitrary input" ~count:500
       QCheck.(string)
       (fun s ->
-        ignore (Engine.lint_source ~rel:"lib/x/y.ml" s);
-        ignore (Engine.lint_source ~rel:"lib/x/y.mli" s);
+        ignore (lint ~rel:"lib/x/y.ml" s);
+        ignore (lint ~rel:"lib/x/y.mli" s);
         true);
     QCheck.Test.make ~name:"F1 fires once per generated comparison" ~count:200
       QCheck.(pair (int_range 0 999) (int_range 0 99))
@@ -235,7 +253,7 @@ let qcheck_tests =
         let hits =
           List.filter
             (fun d -> d.Diag.rule = "F1")
-            (Engine.lint_source ~rel:"lib/x/y.ml" src)
+            (lint ~rel:"lib/x/y.ml" src)
         in
         List.length hits = 1);
     QCheck.Test.make ~name:"F1 suppressed by allow comment" ~count:200

@@ -368,7 +368,7 @@ let test_s6_partial_application_race () =
 
 let registry_fixture =
   "(* lint: allow-file S5 sanctioned registry lock *)\n\
-   let counters = Hashtbl.create 8\n\
+   let counters = Hashtbl.create ~random:false 8\n\
    let incr name = Hashtbl.replace counters name 1\n"
 
 let test_s6_sanctioned_memo_clean () =
@@ -457,7 +457,7 @@ let test_s7_handed_to_mutator () =
   let src =
     "let add t x = Hashtbl.replace t x x\n\
      let build xs =\n\
-    \  let t = Hashtbl.create 16 in\n\
+    \  let t = Hashtbl.create ~random:false 16 in\n\
     \  List.iter (fun x -> add t x) xs;\n\
     \  t\n"
   in

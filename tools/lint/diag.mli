@@ -10,20 +10,14 @@ type t = {
   message : string;  (** human-readable explanation *)
 }
 
-val severity_to_string : severity -> string
-(** ["error"] or ["warning"]. *)
-
 val to_text : t -> string
 (** One [file:line: [rule] severity: message] line, the [--format text]
     rendering. *)
 
-val to_json : t -> string
-(** One JSON object with [file], [line], [rule], [severity] and [message]
-    fields; strings are escaped per RFC 8259. *)
-
 val list_to_json : t list -> string
-(** A JSON array of {!to_json} objects, one per line, suitable for CI
-    annotation consumers. *)
+(** A JSON array with one object per line, each with [file], [line],
+    [rule], [severity] and [message] fields (strings escaped per RFC
+    8259), suitable for CI annotation consumers. *)
 
 val compare : t -> t -> int
 (** Order by file, then line, then rule — the stable report order. *)

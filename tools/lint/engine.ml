@@ -8,37 +8,15 @@ let normalize_rel rel =
   in
   strip (String.map (fun c -> if c = '\\' then '/' else c) rel)
 
-let suppress ~allows ~allow_files diags =
-  List.filter
-    (fun d ->
-      (not (List.mem d.Diag.rule allow_files))
-      && not
-           (List.exists
-              (fun (rule, line) ->
-                rule = d.Diag.rule
-                && (line = d.Diag.line || line = d.Diag.line - 1))
-              allows))
-    diags
-
-let lint_source ~rel content =
-  let rel = normalize_rel rel in
-  let ctx = Rules.context_of_rel rel in
-  let lx = Lexer.lex content in
-  suppress ~allows:lx.Lexer.allows ~allow_files:lx.Lexer.allow_files
-    (Rules.check_tokens ctx lx)
-
-let lint_dune ~rel content = Rules.check_dune ~rel:(normalize_rel rel) content
+let allowed ~allows ~allow_files rule line =
+  List.mem rule allow_files
+  || List.exists (fun (r, l) -> r = rule && (l = line || l = line - 1)) allows
 
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-let lint_file ~root ~rel =
-  let content = read_file (Filename.concat root rel) in
-  if Filename.basename rel = "dune" then lint_dune ~rel content
-  else lint_source ~rel content
 
 let scanned_dirs = [ "lib"; "bin"; "bench"; "tools"; "test"; "examples" ]
 
@@ -69,22 +47,3 @@ let collect_tree ~root = List.concat_map (fun d -> collect root d) scanned_dirs
 
 let errors diags =
   List.filter (fun d -> d.Diag.severity = Diag.Error) diags
-
-let lint_tree ~root =
-  let files = collect_tree ~root in
-  let file_set = List.fold_left (fun s f -> f :: s) [] files in
-  let missing =
-    (* Every lib/ implementation must have an interface. *)
-    List.filter_map
-      (fun rel ->
-        if
-          String.length rel >= 4
-          && String.sub rel 0 4 = "lib/"
-          && Filename.check_suffix rel ".ml"
-          && not (List.mem (rel ^ "i") file_set)
-        then Some (Rules.missing_mli ~rel_ml:rel)
-        else None)
-      files
-  in
-  let found = List.concat_map (fun rel -> lint_file ~root ~rel) files in
-  List.sort Diag.compare (missing @ found)

@@ -1,9 +1,9 @@
-(* mppm-lint driver: run both analysis layers over the tree, print the
-   merged findings, exit 1 on errors.
+(* mppm-lint driver: parse every file of the tree once, run every rule,
+   print the findings, exit 1 on errors.
 
-   Layers: the token rules (D1 D2 F1 M1 E1 O1, Mppm_lint) and the AST
-   rules (S1-S8, the hot-path perf rules P1-P4 and the unit rules U1-U3,
-   Mppm_sema).  Both share root-relative paths and the
+   Rules: the syntactic rules D1 D2 F1 M1 E1 O1, the semantic rules
+   S1-S8, the hot-path perf rules P1-P4 and the unit rules U1-U3 — all
+   run by Mppm_sema.Sema and filtered through the same
    [(* lint: allow ... *)] suppression comments.
 
    Usage: lint.exe [--root DIR] [--format text|json] [--rules R1,R2]
@@ -203,12 +203,10 @@ let () =
     exit 0
   end;
   if !report_mode = "units" then exit (if report_units report then 0 else 1);
-  let token_diags = Engine.lint_tree ~root:!root in
-  let diags = List.sort Diag.compare (token_diags @ report.Mppm_sema.Sema.diags) in
   let diags =
-    match !selected with
-    | [] -> diags
-    | rules -> List.filter (fun d -> List.mem d.Diag.rule rules) diags
+    List.filter
+      (fun d -> !selected = [] || List.mem d.Diag.rule !selected)
+      report.Mppm_sema.Sema.diags
   in
   if !verbose then
     Printf.printf "sema: parses=%d fallbacks=%d\n"

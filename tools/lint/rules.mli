@@ -1,7 +1,10 @@
-(** The lint rules.
+(** The rule catalogue and per-file context.
 
-    Rule ids (each suppressible at a finding's line, or the line above it,
-    with a [(* lint: allow <rule> *)] comment):
+    The syntactic rules below run over the compiler-libs parse tree in
+    [Mppm_sema.Syntax]; this module keeps their shared context and the
+    checks that need no parse.  Rule ids (each suppressible at a
+    finding's line, or the line above it, with a
+    [(* lint: allow <rule> *)] comment):
 
     - [D1] — nondeterminism sources banned in [lib/]: the stdlib [Random]
       module, wall-clock reads ([Sys.time], [Unix.gettimeofday], ...),
@@ -11,7 +14,8 @@
     - [D2] — stdlib [Random] used outside [lib/util/rng.ml] anywhere in the
       scanned tree: all randomness must flow through [Mppm_util.Rng].
     - [F1] — float equality via polymorphic [=]/[==]/[<>]/[!=]/[compare]
-      against a float literal in comparison position; use
+      applied to a float literal (or [compare] passed along with float
+      literals); use
       [Mppm_util.Stats.approx_equal] (or [Float.equal] when exactness is
       intended).
     - [M1] — every public module under [lib/] has an [.mli], and every
@@ -42,20 +46,16 @@ type ctx = {
 }
 
 val all_rule_ids : string list
-(** The known rule identifiers across both analysis layers: the token
-    rules, then the AST rules (S1-S8, P1-P4, U1-U3).  The rule table in
+(** Every known rule identifier: the syntactic rules D1-O1, then the
+    semantic rules (S1-S8, P1-P4, U1-U3).  The rule table in
     docs/static-analysis.md describes each one. *)
 
 val context_of_rel : string -> ctx
 (** Derive a {!ctx} from a root-relative path. *)
 
-val check_tokens : ctx -> Lexer.lexed -> Diag.t list
-(** Run every token-level rule applicable to [ctx] over one lexed file.
-    Suppression comments are {e not} applied here (see
-    {!Engine.lint_source}). *)
-
 val check_dune : rel:string -> string -> Diag.t list
 (** Rules for [dune] files: [lib/] libraries must not link [unix] (D1). *)
 
-val missing_mli : rel_ml:string -> Diag.t
-(** The M1 diagnostic for a [lib/] module lacking an [.mli]. *)
+val missing_mli : string list -> Diag.t list
+(** [missing_mli files]: the M1 diagnostic for every [lib/] [.ml] among
+    the root-relative [files] whose [.mli] is not among them. *)

@@ -131,15 +131,12 @@ let node_key unit_key fn_name = unit_key ^ ":" ^ fn_name
    a sanctioned use (e.g. the registry's lock) does not taint its
    callers the way a suppressed-at-report-time diag still would. *)
 let conc_prims_of (f : Facts.t) (fn : Facts.fn) =
-  if List.mem "S5" f.Facts.allow_files then []
-  else
-    List.filter
-      (fun (_, line) ->
-        not
-          (List.exists
-             (fun (rule, l) -> rule = "S5" && (l = line || l = line - 1))
-             f.Facts.allows))
-      fn.Facts.prim_conc
+  List.filter
+    (fun (_, line) ->
+      not
+        (Mppm_lint.Engine.allowed ~allows:f.Facts.allows
+           ~allow_files:f.Facts.allow_files "S5" line))
+    fn.Facts.prim_conc
 
 (* The lock-order rule needs the raw prims: the registry's allow-file S5
    sanctions its lock's *existence*, not its ordering. *)

@@ -139,6 +139,7 @@ type t = {
       (* (name, kind, line): module-level mutable allocations *)
   allows : (string * int) list;
   allow_files : string list;
+  syntax : Mppm_lint.Diag.t list;  (* raw D1 D2 F1 M1 E1 O1 findings *)
 }
 
 let unit_key_of_rel rel = Filename.remove_extension rel
@@ -1523,19 +1524,72 @@ let mli_fields_of_signature signature =
       | _ -> [])
     signature
 
+(* ---- comments: suppressions and annotations ----------------------------- *)
+
+(* What a comment says to the linter, if anything:
+   - "lint: allow D1 F1 <why>" suppresses the listed rules (ids may be
+     comma-separated) on the comment's line and the line below;
+     "lint: allow-file O1 <why>" suppresses them in the whole file;
+   - "mppm: hot" marks the toplevel binding on the same line (or the
+     line below) as a hotness root for the P rules, "mppm: cold" the
+     expression starting there as off the hot path;
+   - "mppm: unit <expr>" attaches a physical unit to the .mli item,
+     record field or toplevel binding on the same line (or just below);
+     the unit expression runs to the first "--" separator (or dash), so
+     rationale text can follow. *)
+type mark =
+  | Allow of string list
+  | Allow_file of string list
+  | Hot
+  | Cold
+  | Unit of string
+
+let words s = String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
+
+let parse_mark body =
+  let body = String.trim body in
+  match words body with
+  | "mppm:" :: "hot" :: _ -> Some Hot
+  | "mppm:" :: "cold" :: _ -> Some Cold
+  | "mppm:" :: "unit" :: rest ->
+      let separator w =
+        String.starts_with ~prefix:"--" w
+        || String.starts_with ~prefix:"\xe2\x80" w
+      in
+      let rec until_sep = function
+        | w :: rest when not (separator w) -> w :: until_sep rest
+        | _ -> []
+      in
+      Some (Unit (String.concat " " (until_sep rest)))
+  | _ when String.starts_with ~prefix:"lint:" body -> (
+      (* Rule ids are an uppercase letter followed by digits; everything
+         after the leading run of ids is free-form "why" text. *)
+      let rec ids = function
+        | w :: rest
+          when String.length w >= 2
+               && w.[0] >= 'A' && w.[0] <= 'Z'
+               && String.for_all (fun c -> c >= '0' && c <= '9')
+                    (String.sub w 1 (String.length w - 1)) ->
+            w :: ids rest
+        | _ -> []
+      in
+      let rest = String.sub body 5 (String.length body - 5) in
+      match words (String.map (fun c -> if c = ',' then ' ' else c) rest) with
+      | "allow" :: rules -> Some (Allow (ids rules))
+      | "allow-file" :: rules -> Some (Allow_file (ids rules))
+      | _ -> None)
+  | _ -> None
+
 let extract ~rel content =
-  let rel = Mppm_lint.Engine.normalize_rel rel in
-  let is_mli = Filename.check_suffix rel ".mli" in
-  let lx = Mppm_lint.Lexer.lex content in
+  let ctx = Mppm_lint.(Rules.context_of_rel (Engine.normalize_rel rel)) in
+  let rel = ctx.rel and is_mli = ctx.is_mli in
   let base =
     {
       rel;
-      unit_name =
-        String.capitalize_ascii
-          (Filename.remove_extension (Filename.basename rel));
+      unit_name = ctx.module_name;
       dir = Filename.dirname rel;
       is_mli;
-      parse_failed = false;
+      parse_failed = true;
       opens = [];
       aliases = [];
       fns = [];
@@ -1546,21 +1600,61 @@ let extract ~rel content =
       rng_creates = [];
       float_accums = [];
       toplevel_muts = [];
-      allows = lx.Mppm_lint.Lexer.allows;
-      allow_files = lx.Mppm_lint.Lexer.allow_files;
+      allows = [];
+      allow_files = [];
+      syntax = [];
     }
+  in
+  (* A parsed file's findings and suppressions, and the lines of its
+     hot and cold markers and unit annotations. *)
+  let parsed comments syntax =
+    let marks =
+      List.filter_map
+        (fun (c : Astparse.comment) ->
+          if c.doc then None
+          else Option.map (fun m -> (m, c)) (parse_mark c.text))
+        comments
+    in
+    let lines mark =
+      List.filter_map
+        (fun (m, (c : Astparse.comment)) ->
+          if m = mark then Some c.start_line else None)
+        marks
+    in
+    ( {
+        base with
+        parse_failed = false;
+        allows =
+          List.concat_map
+            (function
+              | Allow rules, (c : Astparse.comment) ->
+                  List.map (fun r -> (r, c.start_line)) rules
+              | _ -> [])
+            marks;
+        allow_files =
+          List.concat_map (function Allow_file rs, _ -> rs | _ -> []) marks;
+        syntax;
+      },
+      lines Hot,
+      lines Cold,
+      List.filter_map
+        (function
+          | Unit u, (c : Astparse.comment) ->
+              Some (u, c.start_line, c.after_code)
+          | _ -> None)
+        marks )
   in
   if is_mli then
     match Astparse.interface ~filename:rel content with
-    | Some signature ->
-        let units = lx.Mppm_lint.Lexer.units in
+    | Some (signature, comments) ->
+        let base, _, _, units =
+          parsed comments (Syntax.signature ctx signature comments)
+        in
         let mli_vals = mli_vals_of_signature signature in
         let attach items =
           List.filter_map
             (fun (name, line) ->
-              match unit_annot_near units line with
-              | Some u -> Some (name, u)
-              | None -> None)
+              Option.map (fun u -> (name, u)) (unit_annot_near units line))
             items
         in
         {
@@ -1569,10 +1663,13 @@ let extract ~rel content =
           val_units = attach mli_vals;
           field_units = attach (mli_fields_of_signature signature);
         }
-    | None -> { base with parse_failed = true }
+    | None -> base
   else
     match Astparse.implementation ~filename:rel content with
-    | Some structure ->
+    | Some (structure, comments) ->
+        let base, hots, colds, units =
+          parsed comments (Syntax.structure ctx ~source:content structure)
+        in
         let st =
           {
             st_opens = [];
@@ -1583,9 +1680,9 @@ let extract ~rel content =
             st_refs = [];
             st_creates = [];
             st_accums = [];
-            st_hots = lx.Mppm_lint.Lexer.hots;
-            st_colds = lx.Mppm_lint.Lexer.colds;
-            st_units = lx.Mppm_lint.Lexer.units;
+            st_hots = hots;
+            st_colds = colds;
+            st_units = units;
             st_fields = [];
           }
         in
@@ -1602,4 +1699,4 @@ let extract ~rel content =
           float_accums = List.rev st.st_accums;
           toplevel_muts = List.rev st.st_topmuts;
         }
-    | None -> { base with parse_failed = true }
+    | None -> base

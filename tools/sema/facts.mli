@@ -186,8 +186,8 @@ type t = {
   dir : string;  (** e.g. ["lib/trace"] *)
   is_mli : bool;
   parse_failed : bool;
-      (** the compiler-libs parse failed; only the lexer-derived fields
-          ([allows], [allow_files]) are populated *)
+      (** the compiler-libs parse failed; only the path-derived fields
+          are populated, so the file yields no findings *)
   opens : string list list;  (** [open]ed module paths, file-wide *)
   aliases : (string * string list) list;  (** [module X = A.B] aliases *)
   fns : fn list;
@@ -206,9 +206,9 @@ type t = {
           inventory ([ref]/[Hashtbl.create]/[Buffer.create]/...).
           Mutable records and toplevel arrays are caught at their write
           sites instead, so constant tables stay unflagged. *)
-  allows : (string * int) list;  (** line-scoped suppressions (shared
-      syntax with the token layer) *)
-  allow_files : string list;  (** file-scoped suppressions *)
+  allows : (string * int) list;  (** [(rule, line)] line-scoped allows *)
+  allow_files : string list;  (** rules allowed for the whole file *)
+  syntax : Mppm_lint.Diag.t list;  (** unsuppressed {!Syntax} findings *)
 }
 
 val unit_key_of_rel : string -> string
@@ -216,6 +216,6 @@ val unit_key_of_rel : string -> string
     without its extension, so a [.ml]/[.mli] pair shares one key. *)
 
 val extract : rel:string -> string -> t
-(** [extract ~rel content] parses and scans one source file.  Total: on
-    parse failure the result has [parse_failed = true] and carries only
-    the lexer-derived suppression data. *)
+(** [extract ~rel content] parses one source file once and scans the
+    tree and its comments.  Total: on parse failure the result has
+    [parse_failed = true] and nothing else. *)

@@ -62,12 +62,6 @@ let closure ~roots ~edges =
   List.iter visit roots;
   Hashtbl.fold (fun k () acc -> k :: acc) hot [] |> List.sort compare
 
-let allowed (f : Facts.t) rule line =
-  List.mem rule f.Facts.allow_files
-  || List.exists
-       (fun (r, l) -> r = rule && (l = line || l = line - 1))
-       f.Facts.allows
-
 (* The hot region of a node: an annotated root with a loop is hot in its
    loops only; everything else (loop-free roots, transitively-hot fns)
    is hot over the whole cold-guard-stripped body. *)
@@ -164,7 +158,10 @@ let analyze env facts_list =
              h_sites =
                List.map
                  (fun (s : Facts.perf_site) ->
-                   (s, allowed n.n_facts s.Facts.ps_rule s.Facts.ps_line))
+                   ( s,
+                     Mppm_lint.Engine.allowed ~allows:n.n_facts.Facts.allows
+                       ~allow_files:n.n_facts.Facts.allow_files
+                       s.Facts.ps_rule s.Facts.ps_line ))
                  (region_sites n);
            })
   in
@@ -198,8 +195,8 @@ let hint = function
        argument"
   | _ -> ""
 
-let check env facts_list =
-  analyze env facts_list
+let check entries =
+  entries
   |> List.concat_map (fun e ->
          let via =
            match e.h_chain with

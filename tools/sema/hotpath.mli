@@ -33,7 +33,7 @@ val analyze : Resolve.env -> Facts.t list -> entry list
     count descending, then shortest chain, then key — the order of the
     flat-rewrite work-list surfaced by [lint --report hot]. *)
 
-val check : Resolve.env -> Facts.t list -> Mppm_lint.Diag.t list
-(** P1-P4 findings for every perf site on a hot path (errors in [lib/],
-    warnings elsewhere).  Raw: allow-comment suppression is applied by
-    the {!Sema} driver. *)
+val check : entry list -> Mppm_lint.Diag.t list
+(** P1-P4 findings for every perf site of an {!analyze} inventory
+    (errors in [lib/], warnings elsewhere).  Raw: allow-comment
+    suppression is applied by the {!Sema} driver. *)

@@ -1,12 +1,13 @@
-(* Top-level driver of the AST analysis layer.
+(* Top-level driver of the linter.
 
-   Per-file extraction feeds the cross-checks: S1/S5 effect
-   containment (Effects), S2 seed-flow (Seedflow), S3 order-sensitive
-   float accumulation and S4 dead exports (here), and the S6/S7/S8
-   parallel-determinism rules (Purity) over the closed effect table.
-   Suppression reuses the token layer's [(* lint: allow ... *)] semantics
-   via Engine.suppress, so one comment silences findings from either
-   layer. *)
+   Per-file extraction parses each file once and yields its syntactic
+   findings (D1 D2 F1 M1 E1 O1, Syntax) and the facts that feed the
+   cross-checks: S1/S5 effect containment (Effects), S2 seed-flow
+   (Seedflow), S3 order-sensitive float accumulation and S4 dead exports
+   (here), the S6/S7/S8 parallel-determinism rules (Purity) over the
+   closed effect table, the P rules (Hotpath) and the U rules (Units).
+   Every finding then goes through one suppression predicate,
+   Engine.allowed. *)
 
 module Diag = Mppm_lint.Diag
 module Engine = Mppm_lint.Engine
@@ -113,14 +114,8 @@ let s4 env facts_list =
     facts_list
 
 let analyze ~dunes inputs =
-  let fallbacks = ref 0 in
   let facts_list =
-    List.map
-      (fun { rel; content } ->
-        let f = Facts.extract ~rel:(Engine.normalize_rel rel) content in
-        if f.Facts.parse_failed then incr fallbacks;
-        f)
-      inputs
+    List.map (fun { rel; content } -> Facts.extract ~rel content) inputs
   in
   let env =
     Resolve.build ~dunes
@@ -128,29 +123,29 @@ let analyze ~dunes inputs =
   in
   let table = Effects.build env facts_list in
   let units = Units.analyze env facts_list in
+  let hot = Hotpath.analyze env facts_list in
   let raw =
     Effects.check table
     @ Seedflow.check facts_list
     @ Purity.check table facts_list
-    @ Hotpath.check env facts_list
+    @ Hotpath.check hot
     @ units.Units.u_diags
     @ s3 facts_list
     @ s4 env facts_list
+    @ List.concat_map (fun (f : Facts.t) -> f.Facts.syntax) facts_list
   in
-  let allows_of : (string, (string * int) list * string list) Hashtbl.t =
-    Hashtbl.create ~random:false 256
-  in
-  List.iter
-    (fun (f : Facts.t) ->
-      Hashtbl.replace allows_of f.Facts.rel
-        (f.Facts.allows, f.Facts.allow_files))
-    facts_list;
   let diags =
     List.filter
       (fun d ->
-        match Hashtbl.find_opt allows_of d.Diag.file with
-        | Some (allows, allow_files) ->
-            Engine.suppress ~allows ~allow_files [ d ] <> []
+        match
+          List.find_opt
+            (fun (f : Facts.t) -> f.Facts.rel = d.Diag.file)
+            facts_list
+        with
+        | Some f ->
+            not
+              (Engine.allowed ~allows:f.Facts.allows
+                 ~allow_files:f.Facts.allow_files d.Diag.rule d.Diag.line)
         | None -> true)
       raw
     |> List.sort Diag.compare
@@ -158,9 +153,11 @@ let analyze ~dunes inputs =
   {
     diags;
     parses = List.length inputs;
-    fallbacks = !fallbacks;
+    fallbacks =
+      List.length
+        (List.filter (fun (f : Facts.t) -> f.Facts.parse_failed) facts_list);
     summaries = Effects.summaries table;
-    hot = Hotpath.analyze env facts_list;
+    hot;
     units;
   }
 
@@ -172,4 +169,10 @@ let analyze_tree ~root () =
   let read rel = Engine.read_file (Filename.concat root rel) in
   let dunes = List.map (fun rel -> (rel, read rel)) dunes in
   let inputs = List.map (fun rel -> { rel; content = read rel }) sources in
-  analyze ~dunes inputs
+  let report = analyze ~dunes inputs in
+  (* The tree-level checks, which no allow comment reaches. *)
+  let tree =
+    Rules.missing_mli sources
+    @ List.concat_map (fun (rel, text) -> Rules.check_dune ~rel text) dunes
+  in
+  { report with diags = List.sort Diag.compare (tree @ report.diags) }
