@@ -297,7 +297,28 @@ let test_s6_captured_ref () =
   Alcotest.(check (list string)) "no other rule fires" [ "S6" ] (rules_of r);
   let r = analyze [ ("bench/par.ml", impure) ] in
   Alcotest.(check (list string)) "impure task outside lib is fine" []
-    (rules_of r)
+    (rules_of r);
+  (* A local wrapper forwarding its parameter to Pool.map is a sink, with
+     or without a type annotation on that parameter. *)
+  let via_sink param =
+    Printf.sprintf
+      "let run pool xs =\n\
+      \  let hits = ref 0 in\n\
+      \  let go %s = Mppm_pool.Pool.map pool f xs in\n\
+      \  go (fun x -> incr hits; x + 1)\n"
+      param
+  in
+  List.iter
+    (fun (name, param) ->
+      let r = analyze [ ("lib/demo/par.ml", via_sink param) ] in
+      match rule_diags "S6" r with
+      | [ d ] ->
+          Alcotest.(check bool) (name ^ ": names the sink") true
+            (contains d.Diag.message "Pool.map via go");
+          Alcotest.(check bool) (name ^ ": names the captured ref") true
+            (contains d.Diag.message "hits")
+      | ds -> Alcotest.failf "%s: expected one S6, got %d" name (List.length ds))
+    [ ("untyped sink", "f"); ("typed sink", "(f : int -> int)") ]
 
 let test_s6_pure_tasks_clean () =
   let pure =
@@ -702,6 +723,16 @@ let test_hot_cold_guard () =
   in
   let r = analyze [ ("lib/demo/h.ml", src) ] in
   Alcotest.(check (list string)) "sanitizer-guarded branch is cold" []
+    (prules r);
+  let src =
+    "(* mppm: hot *)\n\
+     let g obs xs =\n\
+    \  let observing = Trace.enabled obs in\n\
+    \  if observing then ignore (Array.to_list xs);\n\
+    \  Array.length xs\n"
+  in
+  let r = analyze [ ("lib/demo/h.ml", src) ] in
+  Alcotest.(check (list string)) "branch on a let-bound guard is cold" []
     (prules r)
 
 let test_hot_loop_region () =
@@ -724,7 +755,24 @@ let test_hot_loop_region () =
   in
   let r = analyze [ ("lib/demo/h.ml", inside) ] in
   Alcotest.(check bool) "allocation inside the loop is flagged" true
-    (List.mem "P1" (prules r))
+    (List.mem "P1" (prules r));
+  (* A local lambda called from the loop condition joins the loop region. *)
+  let via_lambda =
+    "(* mppm: hot *)\n\
+     let f n =\n\
+    \  let i = ref 0 in\n\
+    \  let stop () = Array.length (Array.make n 0) < !i in\n\
+    \  while not (stop ()) do incr i done;\n\
+    \  !i\n"
+  in
+  let r = analyze [ ("lib/demo/h.ml", via_lambda) ] in
+  Alcotest.(check (list (pair string int)))
+    "a loop-called local lambda's allocation is flagged"
+    [ ("P1", 4) ]
+    (List.filter_map
+       (fun d ->
+         if d.Diag.rule.[0] = 'P' then Some (d.Diag.rule, d.Diag.line) else None)
+       r.Sema.diags)
 
 let test_cold_marker () =
   let src =
@@ -752,7 +800,25 @@ let test_p2_p3_p4_shapes () =
   check_rule "Hashtbl traffic on a hot path is P3"
     "(* mppm: hot *)\nlet f h k = Hashtbl.find h k\n" "P3";
   check_rule "boxed-float ref accumulation is P4"
-    "(* mppm: hot *)\nlet f acc x = acc := !acc +. x\n" "P4"
+    "(* mppm: hot *)\nlet f acc x = acc := !acc +. x\n" "P4";
+  let check_clean name src =
+    let r = analyze [ ("lib/demo/h.ml", src) ] in
+    Alcotest.(check (list string)) name [] (prules r)
+  in
+  check_clean "a capture-free lambda is not a closure allocation"
+    "(* mppm: hot *)\nlet f xs = Array.iter (fun x -> ignore x) xs\n";
+  check_rule "a capturing lambda is a closure allocation"
+    "(* mppm: hot *)\nlet f k xs = Array.iter (fun x -> ignore (x + k)) xs\n"
+    "P1";
+  check_clean "matching on a tuple builds no tuple"
+    "(* mppm: hot *)\n\
+     let f a b = match (a, b) with 0, _ -> 0 | _, 0 -> 1 | _ -> 2\n";
+  check_clean "a function that is the binding's body is not a closure"
+    "(* mppm: hot *)\nlet f x = function 0 -> x | _ -> 1\n";
+  check_rule "a capturing function passed as an argument is a closure"
+    "(* mppm: hot *)\n\
+     let f k xs = Array.iter (function 0 -> ignore k | _ -> ()) xs\n"
+    "P1"
 
 (* The acceptance fixture: the real SDC update is P-clean, and injecting
    a heap allocation under its (* mppm: hot *) root fails the lint. *)

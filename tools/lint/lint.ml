@@ -107,10 +107,10 @@ let report_units (report : Mppm_sema.Sema.report) =
   List.iter
     (fun (k, c) -> Hashtbl.replace class_of k c)
     report.Mppm_sema.Sema.units.U.u_fn_class;
-  let in_lib rel = String.length rel >= 4 && String.sub rel 0 4 = "lib/" in
   let hot_lib =
     List.filter
-      (fun (e : Mppm_sema.Hotpath.entry) -> in_lib e.Mppm_sema.Hotpath.h_rel)
+      (fun (e : Mppm_sema.Hotpath.entry) ->
+        Rules.in_lib e.Mppm_sema.Hotpath.h_rel)
       report.Mppm_sema.Sema.hot
   in
   let opaque_hot =

@@ -13,9 +13,11 @@ let all_rule_ids =
     "S1"; "S2"; "S3"; "S4"; "S5"; "S6"; "S7"; "S8";
     "P1"; "P2"; "P3"; "P4"; "U1"; "U2"; "U3" ]
 
+let in_lib rel = String.starts_with ~prefix:"lib/" rel
+
 let scope_of_rel rel =
   let under dir = String.starts_with ~prefix:dir rel in
-  if under "lib/" then Lib
+  if in_lib rel then Lib
   else if under "test/" || under "examples/" then Testish
   else Exec
 

@@ -50,6 +50,9 @@ val all_rule_ids : string list
     semantic rules (S1-S8, P1-P4, U1-U3).  The rule table in
     docs/static-analysis.md describes each one. *)
 
+val in_lib : string -> bool
+(** Whether a root-relative path lies under [lib/]. *)
+
 val context_of_rel : string -> ctx
 (** Derive a {!ctx} from a root-relative path. *)
 

@@ -31,9 +31,7 @@ let allowlist =
    concurrency surface: everything under lib/pool/. *)
 let conc_dir = "lib/pool/"
 
-let in_conc_allowlist unit_key =
-  String.length unit_key >= String.length conc_dir
-  && String.sub unit_key 0 (String.length conc_dir) = conc_dir
+let in_conc_allowlist unit_key = String.starts_with ~prefix:conc_dir unit_key
 
 (* Units sanctioned to hold and mutate module-level state (S6/S7): the
    registry's counters are commutative additions under one lock, and the
@@ -54,12 +52,7 @@ let lock_class_of_unit unit_key =
   else if unit_key = "lib/obs/registry" then Some "registry"
   else None
 
-let lock_rank c =
-  let rec go i = function
-    | [] -> None
-    | x :: rest -> if x = c then Some i else go (i + 1) rest
-  in
-  go 0 lock_order
+let lock_rank c = List.find_index (String.equal c) lock_order
 
 (* ---- the summary lattice ------------------------------------------------ *)
 
@@ -98,33 +91,16 @@ let merge a b =
 let equal (a : summary) b = a = b
 let leq a b = equal (merge a b) b
 
-(* ---- nodes and the fixpoint --------------------------------------------- *)
+(* ---- per-node state and the fixpoint ------------------------------------ *)
 
-type node = {
+type state = {
   mutable s : summary;
   mutable io_witness : string;
   mutable conc_witness : string;
   mutable mut_witness : string;
-  n_mut_arg0 : bool;
-  fn : Facts.fn;
-  unit_key : string;
-  rel : string;
 }
 
-type info = {
-  i_summary : summary;
-  i_mut_arg0 : bool;
-      (* direct fact: the callee mutates its own first positional param *)
-  i_mut_witness : string;
-  i_unit : string;
-  i_rel : string;
-  i_fn_name : string;
-  i_fn_line : int;
-}
-
-type table = { env : Resolve.env; nodes : (string, node) Hashtbl.t }
-
-let node_key unit_key fn_name = unit_key ^ ":" ^ fn_name
+type table = { graph : Callgraph.t; states : state array }
 
 (* Direct concurrency prims with the file's S5 allow comments already
    applied: a prim on an allowed line never enters the effect lattice, so
@@ -143,256 +119,183 @@ let conc_prims_of (f : Facts.t) (fn : Facts.fn) =
 let locks_directly (fn : Facts.fn) =
   List.exists (fun (p, _) -> p = "Mutex.lock") fn.Facts.prim_conc
 
-let has_mut scope (fn : Facts.fn) =
-  List.exists (fun (m : Facts.mutation) -> m.Facts.mut_scope = scope)
+let first_mut scope (fn : Facts.fn) =
+  List.find_opt (fun (m : Facts.mutation) -> m.Facts.mut_scope = scope)
     fn.Facts.mutations
 
-let build_nodes facts_list =
-  let nodes : (string, node) Hashtbl.t = Hashtbl.create ~random:false 256 in
-  List.iter
-    (fun (f : Facts.t) ->
-      if (not f.Facts.is_mli) && not f.Facts.parse_failed then
-        let unit_key = Facts.unit_key_of_rel f.Facts.rel in
-        List.iter
-          (fun (fn : Facts.fn) ->
-            let conc_prims = conc_prims_of f fn in
-            let mut_top = has_mut Facts.Mut_toplevel fn in
-            Hashtbl.replace nodes
-              (node_key unit_key fn.Facts.fn_name)
-              {
-                s =
-                  {
-                    e_io = fn.Facts.prim_io <> [];
-                    e_conc = conc_prims <> [];
-                    e_rng = fn.Facts.has_rng;
-                    e_mut_top = mut_top;
-                    e_mut_arg = has_mut Facts.Mut_arg fn;
-                    e_raises = fn.Facts.raises;
-                    e_locks =
-                      (match lock_class_of_unit unit_key with
-                      | Some c when locks_directly fn -> [ c ]
-                      | _ -> []);
-                  };
-                io_witness =
-                  (match fn.Facts.prim_io with
-                  | (p, _) :: _ -> p
-                  | [] -> "");
-                conc_witness =
-                  (match conc_prims with (p, _) :: _ -> p | [] -> "");
-                mut_witness =
-                  (if mut_top then
-                     match
-                       List.find_opt
-                         (fun (m : Facts.mutation) ->
-                           m.Facts.mut_scope = Facts.Mut_toplevel)
-                         fn.Facts.mutations
-                     with
-                     | Some m ->
-                         Printf.sprintf "writes %s via %s" m.Facts.mut_target
-                           m.Facts.mut_prim
-                     | None -> ""
-                   else "");
-                n_mut_arg0 = fn.Facts.mut_arg0;
-                fn;
-                unit_key;
-                rel = f.Facts.rel;
-              })
-          f.Facts.fns)
-    facts_list;
-  nodes
-
-(* Resolve a call made from [facts] to a node key, when the callee is a
-   known top-level function of a scanned unit.  Unqualified single-element
-   paths resolve within the same unit. *)
-let callee_key env (facts : Facts.t) nodes path =
-  let unit_key = Facts.unit_key_of_rel facts.Facts.rel in
-  match path with
-  | [ name ] ->
-      let k = node_key unit_key name in
-      if Hashtbl.mem nodes k then Some k else None
-  | _ -> (
-      match Resolve.resolve env facts path with
-      | Some (callee_unit, member) ->
-          let k = node_key callee_unit member in
-          if Hashtbl.mem nodes k then Some k else None
-      | None -> None)
-
-let callee_label callee =
-  Printf.sprintf "%s.%s"
-    (String.capitalize_ascii (Filename.basename callee.unit_key))
-    callee.fn.Facts.fn_name
+(* A node's direct effects, before any callee is absorbed. *)
+let direct (n : Callgraph.node) =
+  let fn = n.Callgraph.fn in
+  let conc_prims = conc_prims_of n.Callgraph.facts fn in
+  {
+    s =
+      {
+        e_io = fn.Facts.prim_io <> [];
+        e_conc = conc_prims <> [];
+        e_rng = fn.Facts.has_rng;
+        e_mut_top = first_mut Facts.Mut_toplevel fn <> None;
+        e_mut_arg = first_mut Facts.Mut_arg fn <> None;
+        e_raises = fn.Facts.raises;
+        e_locks =
+          (match lock_class_of_unit n.Callgraph.unit_key with
+          | Some c when locks_directly fn -> [ c ]
+          | _ -> []);
+      };
+    io_witness = (match fn.Facts.prim_io with (p, _) :: _ -> p | [] -> "");
+    conc_witness = (match conc_prims with (p, _) :: _ -> p | [] -> "");
+    mut_witness =
+      (match first_mut Facts.Mut_toplevel fn with
+      | Some m ->
+          Printf.sprintf "writes %s via %s" m.Facts.mut_target m.Facts.mut_prim
+      | None -> "");
+  }
 
 (* Pre-fixpoint seeding: a call passing a module-level value as the first
    positional argument of a callee that mutates its first parameter is a
    write to toplevel state made on the caller's behalf — the shape of the
    registry's [Counter.add counters ...]. *)
-let seed_top_arg_calls env facts_list nodes =
+let seed_top_arg_calls graph states =
   List.iter
-    (fun (f : Facts.t) ->
-      if (not f.Facts.is_mli) && not f.Facts.parse_failed then
-        let unit_key = Facts.unit_key_of_rel f.Facts.rel in
-        List.iter
-          (fun (fn : Facts.fn) ->
-            match Hashtbl.find_opt nodes (node_key unit_key fn.Facts.fn_name) with
-            | None -> ()
-            | Some node ->
-                List.iter
-                  (fun (path, target, _line) ->
-                    match callee_key env f nodes path with
-                    | None -> ()
-                    | Some k ->
-                        let callee = Hashtbl.find nodes k in
-                        if
-                          callee.n_mut_arg0
-                          && (not (in_purity_allowlist callee.unit_key))
-                          && not node.s.e_mut_top
-                        then begin
-                          node.s <- { node.s with e_mut_top = true };
-                          node.mut_witness <-
-                            Printf.sprintf "passes module state %s to %s"
-                              target (callee_label callee)
-                        end)
-                  fn.Facts.top_arg_calls)
-          f.Facts.fns)
-    facts_list
+    (fun ((n : Callgraph.node), (fn : Facts.fn)) ->
+      let st = states.(n.Callgraph.id) in
+      List.iter
+        (fun (path, target, _line) ->
+          match Callgraph.find graph n.Callgraph.facts path with
+          | Some callee
+            when callee.Callgraph.fn.Facts.mut_arg0
+                 && (not (in_purity_allowlist callee.Callgraph.unit_key))
+                 && not st.s.e_mut_top ->
+              st.s <- { st.s with e_mut_top = true };
+              st.mut_witness <-
+                Printf.sprintf "passes module state %s to %s" target
+                  (Callgraph.label callee)
+          | _ -> ())
+        fn.Facts.top_arg_calls)
+    (Callgraph.bindings graph)
 
 (* What a caller inherits from [callee]: its summary with the effects the
    callee's unit is sanctioned to absorb masked off.  The caller-owned
    mutation bit never propagates — it describes the callee's own
    parameters, not the caller's. *)
-let contribution callee =
-  let s = callee.s in
-  let s = if List.mem callee.unit_key allowlist then { s with e_io = false } else s in
-  let s = if in_conc_allowlist callee.unit_key then { s with e_conc = false } else s in
+let contribution unit_key s =
+  let s = if List.mem unit_key allowlist then { s with e_io = false } else s in
+  let s = if in_conc_allowlist unit_key then { s with e_conc = false } else s in
   let s =
-    if in_purity_allowlist callee.unit_key then { s with e_mut_top = false }
-    else s
+    if in_purity_allowlist unit_key then { s with e_mut_top = false } else s
   in
   { s with e_mut_arg = false }
 
-let propagate env facts_list nodes =
+(* Close the summaries over the call graph.  Every binding's callees are
+   resolved once, in call order, so the first call that imports an
+   effect names the witness; a shadowed binding's calls flow into the
+   node of its key. *)
+let propagate graph states =
+  let edges =
+    List.map
+      (fun ((n : Callgraph.node), (fn : Facts.fn)) ->
+        ( n,
+          List.filter_map
+            (fun path ->
+              match Callgraph.find graph n.Callgraph.facts path with
+              | Some c when c.Callgraph.id <> n.Callgraph.id -> Some c
+              | _ -> None)
+            fn.Facts.calls ))
+      (Callgraph.bindings graph)
+  in
   let changed = ref true in
   while !changed do
     changed := false;
     List.iter
-      (fun (f : Facts.t) ->
-        if (not f.Facts.is_mli) && not f.Facts.parse_failed then
-          let unit_key = Facts.unit_key_of_rel f.Facts.rel in
-          List.iter
-            (fun (fn : Facts.fn) ->
-              match Hashtbl.find_opt nodes (node_key unit_key fn.Facts.fn_name) with
-              | None -> ()
-              | Some node ->
-                  List.iter
-                    (fun path ->
-                      match callee_key env f nodes path with
-                      | None -> ()
-                      | Some k ->
-                          let callee = Hashtbl.find nodes k in
-                          if callee != node then begin
-                            let merged = merge node.s (contribution callee) in
-                            if not (equal merged node.s) then begin
-                              if merged.e_io && not node.s.e_io then
-                                node.io_witness <-
-                                  Printf.sprintf "call to %s"
-                                    (callee_label callee);
-                              if merged.e_conc && not node.s.e_conc then
-                                node.conc_witness <-
-                                  Printf.sprintf "call to %s"
-                                    (callee_label callee);
-                              if merged.e_mut_top && not node.s.e_mut_top then
-                                node.mut_witness <-
-                                  Printf.sprintf "call to %s"
-                                    (callee_label callee);
-                              node.s <- merged;
-                              changed := true
-                            end
-                          end)
-                    fn.Facts.calls)
-            f.Facts.fns)
-      facts_list
+      (fun ((n : Callgraph.node), callees) ->
+        let st = states.(n.Callgraph.id) in
+        List.iter
+          (fun (callee : Callgraph.node) ->
+            let merged =
+              merge st.s
+                (contribution callee.Callgraph.unit_key
+                   states.(callee.Callgraph.id).s)
+            in
+            if not (equal merged st.s) then begin
+              let witness = Printf.sprintf "call to %s" (Callgraph.label callee) in
+              if merged.e_io && not st.s.e_io then st.io_witness <- witness;
+              if merged.e_conc && not st.s.e_conc then
+                st.conc_witness <- witness;
+              if merged.e_mut_top && not st.s.e_mut_top then
+                st.mut_witness <- witness;
+              st.s <- merged;
+              changed := true
+            end)
+          callees)
+      edges
   done
 
-let build env facts_list =
-  let nodes = build_nodes facts_list in
-  seed_top_arg_calls env facts_list nodes;
-  propagate env facts_list nodes;
-  { env; nodes }
+let build graph =
+  let states = Array.map direct (Callgraph.nodes graph) in
+  seed_top_arg_calls graph states;
+  propagate graph states;
+  { graph; states }
 
-let info_of node =
-  {
-    i_summary = node.s;
-    i_mut_arg0 = node.n_mut_arg0;
-    i_mut_witness = node.mut_witness;
-    i_unit = node.unit_key;
-    i_rel = node.rel;
-    i_fn_name = node.fn.Facts.fn_name;
-    i_fn_line = node.fn.Facts.fn_line;
-  }
+let find t facts path =
+  Option.map
+    (fun (n : Callgraph.node) ->
+      let st = t.states.(n.Callgraph.id) in
+      (n, st.s, st.mut_witness))
+    (Callgraph.find t.graph facts path)
 
-let find t (facts : Facts.t) path =
-  match callee_key t.env facts t.nodes path with
-  | Some k -> Some (info_of (Hashtbl.find t.nodes k))
-  | None -> None
-
-let in_lib rel = String.length rel >= 4 && String.sub rel 0 4 = "lib/"
+(* Every node with its closed state. *)
+let each t f =
+  Array.iter
+    (fun (n : Callgraph.node) -> f n t.states.(n.Callgraph.id))
+    (Callgraph.nodes t.graph)
 
 let check t =
   let diags = ref [] in
-  Hashtbl.iter
-    (fun _ node ->
-      if
-        node.s.e_io && in_lib node.rel
-        && not (List.mem node.unit_key allowlist)
-      then
-        diags :=
-          {
-            Diag.file = node.rel;
-            line = node.fn.Facts.fn_line;
-            rule = "S1";
-            severity = Diag.Error;
-            message =
-              Printf.sprintf
-                "%s reaches file/channel I/O (%s); lib/ effects must stay \
-                 inside the allowlisted profile-cache/trace-file/obs-sink \
-                 modules"
-                node.fn.Facts.fn_name node.io_witness;
-          }
-          :: !diags;
-      if
-        node.s.e_conc && in_lib node.rel
-        && not (in_conc_allowlist node.unit_key)
-      then
-        diags :=
-          {
-            Diag.file = node.rel;
-            line = node.fn.Facts.fn_line;
-            rule = "S5";
-            severity = Diag.Error;
-            message =
-              Printf.sprintf
-                "%s reaches the Domain/Mutex/Condition/Atomic surface (%s); \
-                 lib/ concurrency must stay inside lib/pool/ (or carry an \
-                 allow comment)"
-                node.fn.Facts.fn_name node.conc_witness;
-          }
-          :: !diags)
-    t.nodes;
+  let report (n : Callgraph.node) rule message =
+    diags :=
+      {
+        Diag.file = n.Callgraph.facts.Facts.rel;
+        line = n.Callgraph.fn.Facts.fn_line;
+        rule;
+        severity = Diag.Error;
+        message;
+      }
+      :: !diags
+  in
+  each t (fun n st ->
+      let name = n.Callgraph.fn.Facts.fn_name in
+      let unit_key = n.Callgraph.unit_key in
+      let in_lib = Mppm_lint.Rules.in_lib n.Callgraph.facts.Facts.rel in
+      if st.s.e_io && in_lib && not (List.mem unit_key allowlist) then
+        report n "S1"
+          (Printf.sprintf
+             "%s reaches file/channel I/O (%s); lib/ effects must stay inside \
+              the allowlisted profile-cache/trace-file/obs-sink modules"
+             name st.io_witness);
+      if st.s.e_conc && in_lib && not (in_conc_allowlist unit_key) then
+        report n "S5"
+          (Printf.sprintf
+             "%s reaches the Domain/Mutex/Condition/Atomic surface (%s); lib/ \
+              concurrency must stay inside lib/pool/ (or carry an allow \
+              comment)"
+             name st.conc_witness));
   List.sort Diag.compare !diags
 
 let summaries t =
-  Hashtbl.fold
-    (fun _ node acc ->
+  let rows = ref [] in
+  each t (fun n st ->
       let effects =
         List.filter_map
           (fun (name, on) -> if on then Some name else None)
           [
-            ("io", node.s.e_io); ("conc", node.s.e_conc);
-            ("rng", node.s.e_rng); ("mut-top", node.s.e_mut_top);
-            ("mut-arg", node.s.e_mut_arg); ("raises", node.s.e_raises);
+            ("io", st.s.e_io); ("conc", st.s.e_conc); ("rng", st.s.e_rng);
+            ("mut-top", st.s.e_mut_top); ("mut-arg", st.s.e_mut_arg);
+            ("raises", st.s.e_raises);
           ]
-        @ List.map (fun c -> "lock:" ^ c) node.s.e_locks
+        @ List.map (fun c -> "lock:" ^ c) st.s.e_locks
       in
-      (node.rel, node.fn.Facts.fn_name, String.concat "," effects) :: acc)
-    t.nodes []
-  |> List.sort compare
+      rows :=
+        ( n.Callgraph.facts.Facts.rel,
+          n.Callgraph.fn.Facts.fn_name,
+          String.concat "," effects )
+        :: !rows);
+  List.sort compare !rows

@@ -34,31 +34,11 @@ val equal : summary -> summary -> bool
 val leq : summary -> summary -> bool
 (** Lattice order: [leq a b] iff [merge a b = b]. *)
 
-val allowlist : string list
-(** Compilation-unit keys ([lib/profile/profile], ...) sanctioned to
-    perform file/channel I/O.  Propagation of the I/O effect is cut at
-    these units: calling them does not taint the caller. *)
-
-val conc_dir : string
-(** Directory prefix ([lib/pool/]) whose units are sanctioned to use the
-    concurrency surface.  Propagation of the concurrency effect is cut at
-    these units: calling [Pool.map] does not taint the caller.  A
-    concurrency prim on a line covered by an S5 allow comment (or in a
-    file with an S5 allow-file) never enters the effect lattice at all,
-    so a sanctioned use does not taint callers either. *)
-
-val in_conc_allowlist : string -> bool
-(** Whether a compilation-unit key lies under {!conc_dir}. *)
-
-val purity_allowlist : string list
-(** Compilation-unit keys outside [lib/pool/] sanctioned to hold and
-    mutate module-level state: the obs registry (commutative counters
-    under one lock) and the sanitizer's invariant-check registry
-    (result-neutral by contract). *)
-
 val in_purity_allowlist : string -> bool
 (** Whether a unit may hold/mutate module state without tainting callers:
-    under {!conc_dir} or listed in {!purity_allowlist}. *)
+    the [lib/pool/] units, the obs registry (commutative counters under
+    one lock) and the sanitizer's invariant-check registry
+    (result-neutral by contract). *)
 
 val lock_order : string list
 (** The declared lock ordering for S8, outermost first:
@@ -72,34 +52,27 @@ val lock_class_of_unit : string -> string option
 val lock_rank : string -> int option
 (** Position of a lock class in {!lock_order} (0 = outermost). *)
 
-type info = {
-  i_summary : summary;  (** transitively closed effects *)
-  i_mut_arg0 : bool;
-      (** direct fact: the function mutates its own first positional
-          parameter (never propagated — it describes the callee's own
-          parameters, not the caller's) *)
-  i_mut_witness : string;
-      (** how [e_mut_top] arose: a write site, a module-state argument,
-          or the call that imported the taint *)
-  i_unit : string;  (** compilation-unit key *)
-  i_rel : string;
-  i_fn_name : string;
-  i_fn_line : int;
-}
-(** The resolved view of one analyzed function. *)
-
 type table
-(** The closed effect table: every analyzed function with its transitive
-    summary, plus the resolution environment. *)
+(** The closed effect table: every node of the call graph with its
+    transitive summary. *)
 
-val build : Resolve.env -> Facts.t list -> table
-(** Build nodes from direct facts, seed module-state-argument writes, and
-    close over the call graph to a fixpoint. *)
+val build : Callgraph.t -> table
+(** Start each node from its direct facts, seed module-state-argument
+    writes, and close over the call graph to a fixpoint.  Propagation of
+    the I/O effect is cut at the allowlisted profile-cache / trace-file /
+    obs-sink units, of the concurrency effect at [lib/pool/], and of the
+    module-state effect at {!in_purity_allowlist} units: calling them
+    does not taint the caller.  A concurrency prim on a line covered by
+    an S5 allow comment (or in a file with an S5 allow-file) never enters
+    the lattice at all. *)
 
-val find : table -> Facts.t -> string list -> info option
+val find :
+  table -> Facts.t -> string list -> (Callgraph.node * summary * string) option
 (** [find t facts path] resolves a call path appearing in [facts] to the
-    callee's closed summary.  Unqualified single-element paths resolve
-    within the same unit. *)
+    callee's node, its closed summary, and how its [e_mut_top] arose (a
+    write site, a module-state argument, or the call that imported the
+    taint).  Unqualified single-element paths resolve within the same
+    unit. *)
 
 val check : table -> Mppm_lint.Diag.t list
 (** S1 and S5 findings (errors), sorted in {!Mppm_lint.Diag.compare}

@@ -1,10 +1,13 @@
 (* Per-file facts extracted from the compiler-libs parse tree.
 
    Facts are plain data (no AST nodes), extracted once per file and
-   re-fed to the cross-module passes without re-parsing.  Extraction is
-   syntactic — no typing — so every judgment here is a heuristic; the
-   rules built on top are tuned to be zero-noise on this tree (asserted
-   by the test suite). *)
+   re-fed to the cross-module passes without re-parsing.  A first pass
+   over the module structure collects opens, aliases and module-level
+   names; then each top-level binding is walked exactly once
+   ([scan_body]), and every per-function and per-lambda fact comes out
+   of that one walk.  Extraction is syntactic — no typing — so every
+   judgment here is a heuristic; the rules built on top are tuned to be
+   zero-noise on this tree (asserted by the test suite). *)
 
 type mut_scope =
   | Mut_local  (* target is let-bound to a fresh mutable allocation *)
@@ -21,7 +24,6 @@ type mutation = {
 }
 
 type closure = {
-  ct_line : int;
   ct_writes : (string * string * string * int) list;
       (* (target, prim, "captured"|"toplevel", line): writes whose target
          is not bound inside the closure *)
@@ -315,7 +317,8 @@ let toplevel_mut_kind_of_path path =
 
 (* ---- expression scanning ---------------------------------------------- *)
 
-let line_of_expr e = e.Parsetree.pexp_loc.Location.loc_start.Lexing.pos_lnum
+let line_of_loc (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
+let line_of_expr e = line_of_loc e.Parsetree.pexp_loc
 
 let expr_contains pred e =
   let found = ref false in
@@ -362,13 +365,7 @@ let head_path aliases e =
 let applies_hashtbl_to_seq aliases e =
   expr_contains
     (fun e ->
-      let path =
-        match e.Parsetree.pexp_desc with
-        | Parsetree.Pexp_apply (head, _) -> head_path aliases head
-        | Parsetree.Pexp_ident { txt; _ } -> expand aliases (flatten txt)
-        | _ -> []
-      in
-      match List.rev path with
+      match List.rev (head_path aliases e) with
       | m :: "Hashtbl" :: _ ->
           String.length m >= 6 && String.sub m 0 6 = "to_seq"
       | _ -> false)
@@ -388,9 +385,12 @@ let rec target_ident e =
   | Parsetree.Pexp_constraint (e, _) -> target_ident e
   | _ -> None
 
-let nth_positional args i =
-  let positional = List.filter (fun (l, _) -> l = Asttypes.Nolabel) args in
-  match List.nth_opt positional i with Some (_, a) -> Some a | None -> None
+let positional args =
+  List.filter_map
+    (fun (l, a) -> if l = Asttypes.Nolabel then Some a else None)
+    args
+
+let nth_positional args i = List.nth_opt (positional args) i
 
 let first_positional_ident args =
   match nth_positional args 0 with
@@ -403,88 +403,9 @@ let first_positional_ident args =
    argument, Pool.map_reduce's ~map, a Single_flight memo's third. *)
 let task_arg_of_entry entry args =
   match entry with
-  | "Pool.map_reduce" ->
-      List.find_map
-        (fun (l, a) -> if l = Asttypes.Labelled "map" then Some a else None)
-        args
+  | "Pool.map_reduce" -> List.assoc_opt (Asttypes.Labelled "map") args
   | "Pool.map" -> nth_positional args 1
   | _ -> nth_positional args 2
-
-(* Names bound anywhere inside [e] (params, lets, match cases — flat,
-   shadowing-insensitive) and the subset let-bound to a fresh mutable
-   allocation. *)
-let binding_env aliases e =
-  let bound = ref [] in
-  let alloc = ref [] in
-  let rec shallow_names p =
-    match p.Parsetree.ppat_desc with
-    | Parsetree.Ppat_var { txt; _ } -> [ txt ]
-    | Parsetree.Ppat_constraint (p, _) -> shallow_names p
-    | Parsetree.Ppat_tuple ps -> List.concat_map shallow_names ps
-    | Parsetree.Ppat_alias (p, { txt; _ }) -> txt :: shallow_names p
-    | _ -> []
-  in
-  let rec allocates rhs =
-    match rhs.Parsetree.pexp_desc with
-    | Parsetree.Pexp_array _ | Parsetree.Pexp_record _ -> true
-    | Parsetree.Pexp_constraint (e, _) -> allocates e
-    | Parsetree.Pexp_apply (head, _) ->
-        alloc_prim_of_path (head_path aliases head) <> None
-    | _ -> false
-  in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      pat =
-        (fun it p ->
-          (match p.Parsetree.ppat_desc with
-          | Parsetree.Ppat_var { txt; _ } -> bound := txt :: !bound
-          | Parsetree.Ppat_alias (_, { txt; _ }) -> bound := txt :: !bound
-          | _ -> ());
-          Ast_iterator.default_iterator.pat it p);
-      expr =
-        (fun it e ->
-          (match e.Parsetree.pexp_desc with
-          | Parsetree.Pexp_let (_, vbs, _) ->
-              List.iter
-                (fun vb ->
-                  if allocates vb.Parsetree.pvb_expr then
-                    alloc := shallow_names vb.Parsetree.pvb_pat @ !alloc)
-                vbs
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it e;
-  (!bound, !alloc)
-
-let rec first_positional_param e =
-  match e.Parsetree.pexp_desc with
-  | Parsetree.Pexp_fun (Asttypes.Nolabel, _, pat, _) -> (
-      match pat.Parsetree.ppat_desc with
-      | Parsetree.Ppat_var { txt; _ } -> Some txt
-      | Parsetree.Ppat_constraint
-          ({ Parsetree.ppat_desc = Parsetree.Ppat_var { txt; _ }; _ }, _) ->
-          Some txt
-      | _ -> None)
-  | Parsetree.Pexp_fun (_, _, _, rest) -> first_positional_param rest
-  | Parsetree.Pexp_newtype (_, rest) -> first_positional_param rest
-  | Parsetree.Pexp_constraint (e, _) -> first_positional_param e
-  | _ -> None
-
-let rec positional_params e =
-  match e.Parsetree.pexp_desc with
-  | Parsetree.Pexp_fun (Asttypes.Nolabel, _, pat, rest) ->
-      let name =
-        match pat.Parsetree.ppat_desc with
-        | Parsetree.Ppat_var { txt; _ } -> txt
-        | _ -> "_"
-      in
-      name :: positional_params rest
-  | Parsetree.Pexp_fun (_, _, _, rest) -> positional_params rest
-  | Parsetree.Pexp_newtype (_, rest) -> positional_params rest
-  | Parsetree.Pexp_constraint (e, _) -> positional_params e
-  | _ -> []
 
 (* ---- hot-path perf primitives (P1-P4) ---------------------------------- *)
 
@@ -682,11 +603,7 @@ let rec uexpr_of aliases e =
   | Parsetree.Pexp_open (_, e) -> conv e
   | Parsetree.Pexp_apply (head, args) -> (
       let path = head_path aliases head in
-      let positional =
-        List.filter_map
-          (fun (l, a) -> if l = Asttypes.Nolabel then Some a else None)
-          args
-      in
+      let positional = positional args in
       if is_cold_apply_path path then U_stmt []
       else
         match (uop_of_path path, positional) with
@@ -723,7 +640,7 @@ let rec uexpr_of aliases e =
                   ul_name = txt;
                   ul_rhs = conv vb.Parsetree.pvb_expr;
                   ul_body = acc;
-                  ul_line = line_of_loc' vb.Parsetree.pvb_loc;
+                  ul_line = line_of_loc vb.Parsetree.pvb_loc;
                 }
           | _ -> U_seq (U_stmt [ conv vb.Parsetree.pvb_expr ], acc))
         vbs (conv body)
@@ -766,7 +683,6 @@ let rec uexpr_of aliases e =
       | None -> U_stmt [ conv rhs ])
   | _ -> U_opaque
 
-and line_of_loc' (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
 
 (* ---- per-file extraction ----------------------------------------------- *)
 
@@ -784,6 +700,12 @@ type state = {
   mutable st_units : (string * int * bool) list;
   mutable st_fields : (string * string) list;
 }
+
+(* An [open] of a plain module path is recorded file-wide. *)
+let note_open st od =
+  match od.Parsetree.popen_expr.Parsetree.pmod_desc with
+  | Parsetree.Pmod_ident { txt; _ } -> st.st_opens <- flatten txt :: st.st_opens
+  | _ -> ()
 
 let rec pattern_names p =
   match p.Parsetree.ppat_desc with
@@ -811,61 +733,54 @@ let unit_annot_near units line =
           else None)
         units
 
-let unit_annot_at st line = unit_annot_near st.st_units line
+(* ---- the per-binding fact walk ----------------------------------------- *)
+
+(* An append-only log.  Every fact a lambda's answers need is pushed onto
+   one, so a lambda's share is the suffix logged while it was walked. *)
+type 'a tape = { mutable items : 'a list; mutable len : int }
+
+let tape () = { items = []; len = 0 }
+
+let push t x =
+  t.items <- x :: t.items;
+  t.len <- t.len + 1
+
+(* What one [fun] chain or [function] contains, nested lambdas included,
+   each list in walk order. *)
+type frame = {
+  fr_bound : string list;  (* names its patterns bind (flat) *)
+  fr_paths : string list list;  (* every value path it references *)
+  fr_writes : (string * bool * string * int) list;
+      (* (target, qualified, prim, line) of every direct write *)
+  fr_firsts : (string list * string * int) list;
+      (* (callee, ident, line): calls whose first positional argument is
+         an identifier *)
+  fr_sinks : string list;
+      (* identifiers passed as the task of a parallel entry *)
+  fr_sites : perf_site list;  (* perf sites outside cold guards *)
+  fr_calls : string list list;  (* value paths referenced outside them *)
+}
 
 (* Summarize a closure handed to the parallel surface: writes to values
    it does not bind itself, every path it references, and captured
    identifiers it passes as a callee's first (potentially mutated)
    positional argument. *)
-let summarize_closure st lambda =
-  let bound, _alloc = binding_env st.st_aliases lambda in
-  let writes = ref [] in
-  let calls = ref [] in
-  let escaping = ref [] in
-  let record_write line target prim =
-    match target_ident target with
-    | Some (v, qualified) when qualified || not (List.mem v bound) ->
-        let scope =
-          if qualified || List.mem v st.st_toplevel then "toplevel"
-          else "captured"
-        in
-        writes := (v, prim, scope, line) :: !writes
-    | _ -> ()
-  in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.Parsetree.pexp_desc with
-          | Parsetree.Pexp_ident { txt; _ } ->
-              let path = expand st.st_aliases (flatten txt) in
-              if path <> [] then calls := path :: !calls
-          | Parsetree.Pexp_setfield (target, _, _) ->
-              record_write (line_of_expr e) target "<-"
-          | Parsetree.Pexp_apply (head, args) -> (
-              let line = line_of_expr e in
-              let path = head_path st.st_aliases head in
-              (match write_prim_of_path path with
-              | Some (prim, idx) -> (
-                  match nth_positional args idx with
-                  | Some target -> record_write line target prim
-                  | None -> ())
-              | None -> ());
-              match (path, first_positional_ident args) with
-              | _ :: _, Some v when not (List.mem v bound) ->
-                  escaping := (path, v, line) :: !escaping
-              | _ -> ())
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it lambda;
+let closure_of st fr =
+  let free v = not (List.mem v fr.fr_bound) in
   {
-    ct_line = line_of_expr lambda;
-    ct_writes = List.rev !writes;
-    ct_calls = List.sort_uniq compare !calls;
-    ct_escaping = List.rev !escaping;
+    ct_writes =
+      List.filter_map
+        (fun (v, qualified, prim, line) ->
+          if qualified || free v then
+            let scope =
+              if qualified || List.mem v st.st_toplevel then "toplevel"
+              else "captured"
+            in
+            Some (v, prim, scope, line)
+          else None)
+        fr.fr_writes;
+    ct_calls = List.sort_uniq compare fr.fr_paths;
+    ct_escaping = List.filter (fun (_, v, _) -> free v) fr.fr_firsts;
   }
 
 (* Whether a lambda captures anything: a reference to a single-ident name
@@ -873,99 +788,137 @@ let summarize_closure st lambda =
    closure environment at runtime.  Capture-free lambdas are statically
    allocated by the compiler and cost nothing per call, so P1 skips
    them. *)
-let lambda_captures st lambda =
-  let bound, _ = binding_env st.st_aliases lambda in
-  expr_contains
-    (fun e ->
-      match e.Parsetree.pexp_desc with
-      | Parsetree.Pexp_ident { txt = Longident.Lident v; _ } ->
+let captures st fr =
+  List.exists
+    (function
+      | [ v ] ->
           String.length v > 0
           && (match v.[0] with 'a' .. 'z' | '_' -> true | _ -> false)
-          && (not (List.mem v bound))
+          && (not (List.mem v fr.fr_bound))
           && (not (List.mem v st.st_toplevel))
           && not (List.mem v pervasive_idents)
       | _ -> false)
-    lambda
+    fr.fr_paths
 
-(* P1-P4 site collection with hot-region structure.  One walk over the
-   body records every perf-relevant shape outside the cold guards
-   (branches conditioned on Invariant/Trace/Prof.enabled or an ident
-   bound to one, Trace.emit/Invariant applications, and expressions under
-   an [(* mppm: cold *)] marker).  Sites and referenced paths inside
-   while/for loops land in the loop region too, and the bodies of local
-   lambdas referenced from a loop are folded into the loop region by a
-   worklist pass — so [let stop () = ... in while not (stop ()) do]
-   contributes [stop]'s body to the loop. *)
-let perf_scan st body =
-  let warm_sites = ref [] and loop_sites = ref [] in
-  let warm_calls = ref [] and loop_calls = ref [] in
-  let has_loop = ref false in
-  let loop_idents = ref [] in
-  let local_lambdas = ref [] in
-  let in_loop = ref false in
-  let loop_only = ref false in
+(* A let-bound lambda that forwards one of its own positional parameters
+   as the task of a parallel entry is a sink: calls to it are pool calls,
+   with the task at the forwarded parameter's index. *)
+let sink_index lambda fr =
+  let params =
+    List.filter_map
+      (fun (l, name) -> if l = None then Some name else None)
+      (all_params lambda)
+  in
+  List.find_map (fun v -> List.find_index (String.equal v) params) fr.fr_sinks
+
+let scoped r v f =
+  let saved = !r in
+  r := v;
+  f ();
+  r := saved
+
+(* Scan one top-level binding body in a single pre-order walk,
+   accumulating the fn summary.  A [cold] region (a branch conditioned on
+   Invariant/Trace/Prof.enabled or an ident bound to one, a Trace.emit or
+   Invariant application, an expression under an [(* mppm: cold *)]
+   marker) turns the perf facts off and leaves every other fact on; perf
+   facts are off throughout a non-function binding, which runs once at
+   module init.  Sites and referenced paths inside while/for loops also
+   land in the loop region, and so do those of every local lambda
+   referenced from a loop — [let stop () = ... in while not (stop ())
+   do] contributes [stop]'s body to the loop. *)
+let scan_body st ~fn_name ~fn_line body =
+  let aliases = st.st_aliases in
+  let bound = tape () and paths = tape () and writes = tape () in
+  let firsts = tape () and sinks = tape () in
+  let sites = tape () and perf_calls = tape () in
+  let perf = ref (is_fun body) and in_loop = ref false in
+  let has_loop = ref false and loop_sites = ref [] and loop_calls = ref [] in
+  let rng_fields = ref [] and prim_io = ref [] and prim_conc = ref [] in
+  let has_rng = ref false and raises = ref false in
+  let pool_calls = ref [] in
+  let fn_alloc = ref [] in
+  (* [let v = expr.field] aliases, so a draw through a local binding
+     still resolves to the record field. *)
+  let field_aliases = ref [] in
+  (* Let-bound local lambdas, latest first, so a task referenced by name
+     is analyzed as the closure it is; the perf walk keeps the first warm
+     binding of each name for the loop fold. *)
+  let named = ref [] and loop_lambdas = ref [] in
   (* Idents let-bound to a cold-guard read:
      [let observing = Trace.enabled obs]. *)
-  let cold_idents = ref [] in
-  let cold_rhs e =
-    expr_contains
-      (fun e ->
-        match e.Parsetree.pexp_desc with
-        | Parsetree.Pexp_ident { txt; _ } ->
-            is_cold_guard_path (expand st.st_aliases (flatten txt))
-        | _ -> false)
-      e
+  let cold_idents = ref [] and guard_reads = ref 0 in
+  let frames = ref [] in
+  let frame_of lambda = List.assq lambda !frames in
+  let open_frame () =
+    let since t =
+      let start = t.len in
+      fun () ->
+        let rec take n l acc =
+          match l with
+          | x :: rest when n > 0 -> take (n - 1) rest (x :: acc)
+          | _ -> acc
+        in
+        take (t.len - start) t.items []
+    in
+    let b = since bound and p = since paths and w = since writes in
+    let f = since firsts and s = since sinks in
+    let si = since sites and c = since perf_calls in
+    fun () ->
+      {
+        fr_bound = b (); fr_paths = p (); fr_writes = w (); fr_firsts = f ();
+        fr_sinks = s (); fr_sites = si (); fr_calls = c ();
+      }
   in
-  let collect_cold =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.Parsetree.pexp_desc with
-          | Parsetree.Pexp_let (_, vbs, _) ->
-              List.iter
-                (fun vb ->
-                  match vb.Parsetree.pvb_pat.Parsetree.ppat_desc with
-                  | Parsetree.Ppat_var { txt = v; _ }
-                    when cold_rhs vb.Parsetree.pvb_expr ->
-                      cold_idents := v :: !cold_idents
-                  | _ -> ())
-                vbs
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
+  let site rule what line =
+    if !perf then begin
+      let s = { ps_rule = rule; ps_what = what; ps_line = line } in
+      push sites s;
+      if !in_loop then loop_sites := s :: !loop_sites
+    end
   in
-  collect_cold.expr collect_cold body;
-  let is_cold_cond c =
-    expr_contains
-      (fun e ->
-        match e.Parsetree.pexp_desc with
-        | Parsetree.Pexp_ident { txt; _ } -> (
-            match expand st.st_aliases (flatten txt) with
-            | [ v ] -> List.mem v !cold_idents
-            | path -> is_cold_guard_path path)
-        | _ -> false)
-      c
+  let record_call path =
+    if !perf && path <> [] then begin
+      push perf_calls path;
+      if !in_loop then loop_calls := path :: !loop_calls
+    end
+  in
+  let note_ident line path =
+    if path <> [] then begin
+      push paths path;
+      st.st_refs <- path :: st.st_refs;
+      Option.iter
+        (fun p -> prim_io := (p, line) :: !prim_io)
+        (io_prim_of_path path);
+      Option.iter
+        (fun p -> prim_conc := (p, line) :: !prim_conc)
+        (conc_prim_of_path path);
+      (match List.rev path with
+      | last :: _ when List.mem last raise_prims && List.length path <= 2 ->
+          raises := true
+      | _ -> ());
+      if rng_member_of_path path <> None then has_rng := true;
+      if is_cold_guard_path path then incr guard_reads
+    end
+  in
+  let record_write line target prim =
+    Option.iter (fun (v, qualified) -> push writes (v, qualified, prim, line))
+      (target_ident target)
   in
   let marked_cold e =
     let line = line_of_expr e in
     List.mem line st.st_colds || List.mem (line - 1) st.st_colds
   in
-  let site rule what line =
-    let s = { ps_rule = rule; ps_what = what; ps_line = line } in
-    if not !loop_only then warm_sites := s :: !warm_sites;
-    if !in_loop || !loop_only then loop_sites := s :: !loop_sites
-  in
-  let record_call path =
-    if path <> [] then begin
-      if not !loop_only then warm_calls := path :: !warm_calls;
-      if !in_loop || !loop_only then begin
-        loop_calls := path :: !loop_calls;
-        match path with
-        | [ v ] -> loop_idents := v :: !loop_idents
-        | _ -> ()
-      end
-    end
+  let is_cold_cond c =
+    expr_contains
+      (fun e ->
+        match e.Parsetree.pexp_desc with
+        | Parsetree.Pexp_ident { txt; _ } -> (
+            match expand aliases (flatten txt) with
+            | [ v ] -> List.mem v !cold_idents
+            | path -> is_cold_guard_path path)
+        | _ -> false)
+      c
   in
   let apply_sites line path args =
     match hashtbl_member_of_path path with
@@ -983,422 +936,344 @@ let perf_scan st body =
                       site "P4" "boxed-float ref accumulation" line
                   | _ -> ()))
   in
-  let iter = ref Ast_iterator.default_iterator in
-  let handle it e =
-    if not (marked_cold e) then
-      let line = line_of_expr e in
-      match e.Parsetree.pexp_desc with
-      | Parsetree.Pexp_while (cond, loop_body) ->
-          if not !loop_only then has_loop := true;
-          let saved = !in_loop in
-          in_loop := true;
-          it.Ast_iterator.expr it cond;
-          it.Ast_iterator.expr it loop_body;
-          in_loop := saved
-      | Parsetree.Pexp_for (_, lo, hi, _, loop_body) ->
-          if not !loop_only then has_loop := true;
-          it.Ast_iterator.expr it lo;
-          it.Ast_iterator.expr it hi;
-          let saved = !in_loop in
-          in_loop := true;
-          it.Ast_iterator.expr it loop_body;
-          in_loop := saved
-      | Parsetree.Pexp_ifthenelse (cond, _, else_opt) when is_cold_cond cond
-        -> (
-          match else_opt with
-          | Some else_ -> it.Ast_iterator.expr it else_
-          | None -> ())
-      | Parsetree.Pexp_apply (head, args) ->
-          let path = head_path st.st_aliases head in
-          if not (is_cold_apply_path path) then begin
-            record_call path;
-            apply_sites line path args;
-            (match head.Parsetree.pexp_desc with
-            | Parsetree.Pexp_ident _ -> ()
-            | _ -> it.Ast_iterator.expr it head);
-            List.iter (fun (_, a) -> it.Ast_iterator.expr it a) args
-          end
-      | Parsetree.Pexp_ident { txt; _ } -> (
-          let path = expand st.st_aliases (flatten txt) in
-          record_call path;
-          match poly_compare_of_path path with
-          | Some p -> site "P2" ("polymorphic " ^ p ^ " passed as a value") line
-          | None -> ())
-      | Parsetree.Pexp_fun _ ->
-          (* A syntactically curried chain compiles to one multi-param
-             closure, so captures are judged on the whole chain and the
-             intermediate fun nodes are skipped — an outer param is not a
-             capture of the inner lambda. *)
-          if lambda_captures st e then
-            site "P1" "closure allocation (captures its environment)" line;
-          it.Ast_iterator.expr it (strip_params e)
-      | Parsetree.Pexp_function _ ->
-          if lambda_captures st e then
-            site "P1" "closure allocation (captures its environment)" line;
-          Ast_iterator.default_iterator.expr it e
-      | Parsetree.Pexp_match
-          ({ pexp_desc = Parsetree.Pexp_tuple comps; _ }, cases) ->
-          (* [match (a, b) with ...] deconstructs the pair in place — the
-             compiler never builds the tuple — so only the components and
-             the cases are scanned, not the scrutinee tuple itself. *)
-          List.iter (it.Ast_iterator.expr it) comps;
-          List.iter (it.Ast_iterator.case it) cases
-      | Parsetree.Pexp_tuple _ ->
-          site "P1" "tuple allocation" line;
-          Ast_iterator.default_iterator.expr it e
-      | Parsetree.Pexp_record _ ->
-          site "P1" "record allocation" line;
-          Ast_iterator.default_iterator.expr it e
-      | Parsetree.Pexp_array els ->
-          if els <> [] then site "P1" "array literal" line;
-          Ast_iterator.default_iterator.expr it e
-      | Parsetree.Pexp_construct ({ txt = Longident.Lident "::"; _ }, _) ->
-          site "P1" "list cons" line;
-          Ast_iterator.default_iterator.expr it e
-      | Parsetree.Pexp_let (_, vbs, _) ->
-          List.iter
-            (fun vb ->
-              match vb.Parsetree.pvb_pat.Parsetree.ppat_desc with
-              | Parsetree.Ppat_var { txt = v; _ }
-                when is_fun vb.Parsetree.pvb_expr ->
-                  if not (List.mem_assoc v !local_lambdas) then
-                    local_lambdas := (v, vb.Parsetree.pvb_expr) :: !local_lambdas
-              | _ -> ())
-            vbs;
-          Ast_iterator.default_iterator.expr it e
-      | _ -> Ast_iterator.default_iterator.expr it e
-  in
-  iter := { Ast_iterator.default_iterator with expr = handle };
-  let iter = !iter in
-  iter.Ast_iterator.expr iter (strip_params body);
-  (* Fold loop-referenced local lambdas into the loop region. *)
-  let visited = ref [] in
-  let rec expand_loop_lambdas () =
-    let pending =
-      List.filter
-        (fun (name, _) ->
-          List.mem name !loop_idents && not (List.mem name !visited))
-        !local_lambdas
-    in
-    if pending <> [] then begin
-      List.iter
-        (fun (name, lam) ->
-          visited := name :: !visited;
-          loop_only := true;
-          in_loop := true;
-          iter.Ast_iterator.expr iter (strip_params lam);
-          loop_only := false;
-          in_loop := false)
-        pending;
-      expand_loop_lambdas ()
-    end
-  in
-  expand_loop_lambdas ();
-  ( List.sort_uniq compare !warm_sites,
-    List.sort_uniq compare !loop_sites,
-    List.sort_uniq compare !warm_calls,
-    List.sort_uniq compare !loop_calls,
-    !has_loop )
-
-(* A let-bound local function that forwards one of its own positional
-   parameters as the task of a parallel entry is a sink: calls to it are
-   pool calls, with the task at the forwarded parameter's index. *)
-let sink_index_of st lambda =
-  let params = positional_params lambda in
-  let found = ref None in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.Parsetree.pexp_desc with
-          | Parsetree.Pexp_apply (head, args) -> (
-              match pool_entry_of_path (head_path st.st_aliases head) with
-              | Some entry -> (
-                  match task_arg_of_entry entry args with
-                  | Some
-                      {
-                        Parsetree.pexp_desc =
-                          Parsetree.Pexp_ident { txt = Longident.Lident v; _ };
-                        _;
-                      } -> (
-                      match
-                        List.find_index (fun p -> p = v) params
-                      with
-                      | Some i when !found = None -> found := Some i
-                      | _ -> ())
-                  | _ -> ())
-              | None -> ())
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it lambda;
-  !found
-
-(* Scan one top-level binding body, accumulating the fn summary. *)
-let scan_body st ~fn_name ~fn_line body =
-  let calls = ref [] in
-  let rng_fields = ref [] in
-  let prim_io = ref [] in
-  let prim_conc = ref [] in
-  let has_rng = ref false in
-  let mutations = ref [] in
-  let pool_calls = ref [] in
-  let top_arg_calls = ref [] in
-  let raises = ref false in
-  let fn_bound, fn_alloc = binding_env st.st_aliases body in
-  let first_param = first_positional_param body in
-  (* Let-bound local lambdas, so a task referenced by name is analyzed as
-     the closure it is, and local pool-forwarding wrappers act as
-     entries. *)
-  let local_lambdas = ref [] in
-  let local_sinks = ref [] in
-  (* Function-wide map of [let v = expr.field] aliases, so a draw through a
-     local binding still resolves to the record field. *)
-  let field_aliases = ref [] in
-  let record_path line path =
-    if path <> [] then begin
-      calls := path :: !calls;
-      st.st_refs <- path :: st.st_refs;
-      (match io_prim_of_path path with
-      | Some p -> prim_io := (p, line) :: !prim_io
-      | None -> ());
-      (match conc_prim_of_path path with
-      | Some p -> prim_conc := (p, line) :: !prim_conc
-      | None -> ());
-      (match List.rev path with
-      | last :: _ when List.mem last raise_prims && List.length path <= 2 ->
-          raises := true
-      | _ -> ());
-      match rng_member_of_path path with
-      | Some _ -> has_rng := true
-      | None -> ()
-    end
-  in
-  let record_mutation line target prim =
-    match target_ident target with
-    | None -> ()
-    | Some (v, qualified) ->
-        let scope =
-          if qualified then Mut_toplevel
-          else if List.mem v fn_alloc then Mut_local
-          else if List.mem v fn_bound then Mut_arg
-          else Mut_toplevel
-        in
-        mutations :=
-          { mut_target = v; mut_prim = prim; mut_scope = scope; mut_line = line }
-          :: !mutations
-  in
+  let closure_task lambda () = Task_closure (closure_of st (frame_of lambda)) in
   let rec tasks_of_expr e =
-    if is_fun e then [ Task_closure (summarize_closure st e) ]
+    if is_fun e then [ closure_task e ]
     else
       match e.Parsetree.pexp_desc with
       | Parsetree.Pexp_constraint (e, _) -> tasks_of_expr e
       | Parsetree.Pexp_ident { txt; _ } -> (
-          let path = expand st.st_aliases (flatten txt) in
-          match path with
+          match expand aliases (flatten txt) with
           | [] -> []
-          | [ name ] when List.mem_assoc name !local_lambdas ->
-              [ Task_closure (summarize_closure st (List.assoc name !local_lambdas)) ]
-          | _ -> [ Task_path (path, None) ])
+          | [ name ] when List.mem_assoc name !named ->
+              [ closure_task (List.assoc name !named) ]
+          | path -> [ Fun.const (Task_path (path, None)) ])
       | Parsetree.Pexp_apply (head, hargs) -> (
-          match head_path st.st_aliases head with
+          match head_path aliases head with
           | [] -> []
-          | path -> [ Task_path (path, first_positional_ident hargs) ])
+          | path ->
+              [ Fun.const (Task_path (path, first_positional_ident hargs)) ])
       | _ -> []
   in
   let rng_field_of_arg e =
     match e.Parsetree.pexp_desc with
-    | Parsetree.Pexp_field (_, { txt; _ }) -> (
-        match List.rev (flatten txt) with f :: _ -> Some f | [] -> None)
+    | Parsetree.Pexp_field (_, { txt; _ }) -> field_name_of_lid txt
     | Parsetree.Pexp_ident { txt = Longident.Lident v; _ } ->
         List.assoc_opt v !field_aliases
     | _ -> None
   in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.Parsetree.pexp_desc with
-          | Parsetree.Pexp_ident { txt; _ } ->
-              record_path (line_of_expr e) (expand st.st_aliases (flatten txt))
-          | Parsetree.Pexp_field (_, { txt; _ }) ->
-              (* Qualified record-field access ([cfg.Hierarchy.llc]) counts
-                 as a reference so S4 does not flag a val sharing a field's
-                 name. *)
-              st.st_refs <- expand st.st_aliases (flatten txt) :: st.st_refs
-          | Parsetree.Pexp_open (od, _) -> (
-              match od.Parsetree.popen_expr.Parsetree.pmod_desc with
-              | Parsetree.Pmod_ident { txt; _ } ->
-                  st.st_opens <- flatten txt :: st.st_opens
-              | _ -> ())
-          | Parsetree.Pexp_let (_, vbs, _) ->
-              List.iter
-                (fun vb ->
-                  match
-                    ( vb.Parsetree.pvb_pat.Parsetree.ppat_desc,
-                      vb.Parsetree.pvb_expr.Parsetree.pexp_desc )
-                  with
-                  | ( Parsetree.Ppat_var { txt = v; _ },
-                      Parsetree.Pexp_field (_, { txt; _ }) ) -> (
-                      match List.rev (flatten txt) with
-                      | f :: _ -> field_aliases := (v, f) :: !field_aliases
-                      | [] -> ())
-                  | Parsetree.Ppat_var { txt = v; _ }, _
-                    when is_fun vb.Parsetree.pvb_expr ->
-                      local_lambdas :=
-                        (v, vb.Parsetree.pvb_expr) :: !local_lambdas;
-                      (match sink_index_of st vb.Parsetree.pvb_expr with
-                      | Some i -> local_sinks := (v, i) :: !local_sinks
-                      | None -> ())
-                  | _ -> ())
-                vbs
-          | Parsetree.Pexp_setfield (target, _, _) ->
-              record_mutation (line_of_expr e) target "<-"
-          | Parsetree.Pexp_apply (head, args) -> (
-              let line = line_of_expr e in
-              let path = head_path st.st_aliases head in
-              (* Direct writes through stdlib mutation primitives *)
-              (match write_prim_of_path path with
-              | Some (prim, idx) -> (
-                  match nth_positional args idx with
-                  | Some target -> record_mutation line target prim
-                  | None -> ())
-              | None -> ());
-              (* A module-level value passed as a callee's first positional
-                 argument: pairs with the callee's mut_arg0 to detect
-                 writes to toplevel state made on its behalf. *)
-              (match first_positional_ident args with
-              | Some v when List.mem v st.st_toplevel && path <> [] ->
-                  top_arg_calls := (path, v, line) :: !top_arg_calls
-              | _ -> ());
-              (* Parallel entries and local forwarding sinks (S6) *)
-              (let entry =
-                 match pool_entry_of_path path with
-                 | Some e -> Some (e, None)
-                 | None -> (
-                     match path with
-                     | [ name ] -> (
-                         match List.assoc_opt name !local_sinks with
-                         | Some i -> Some ("Pool.map via " ^ name, Some i)
-                         | None -> None)
-                     | _ -> None)
-               in
-               match entry with
-               | Some (entry_name, sink_idx) ->
-                   let task_expr =
-                     match sink_idx with
-                     | Some i -> nth_positional args i
-                     | None -> task_arg_of_entry entry_name args
-                   in
-                   let pc_tasks =
-                     match task_expr with
-                     | Some e -> tasks_of_expr e
-                     | None -> []
-                   in
-                   pool_calls :=
-                     { pc_entry = entry_name; pc_line = line; pc_tasks }
-                     :: !pool_calls
-               | None -> ());
-              (* Rng call classification *)
-              (match rng_member_of_path path with
-              | Some "create" ->
-                  let constant =
-                    match
-                      List.find_opt
-                        (fun (lbl, _) -> lbl = Asttypes.Labelled "seed")
-                        args
-                    with
-                    | Some (_, seed_expr) -> not (mentions_ident seed_expr)
-                    | None -> false
-                  in
-                  st.st_creates <-
-                    { rc_line = line; rc_constant_seed = constant }
-                    :: st.st_creates
-              | Some _ -> (
-                  (* A draw: the generator state is the first positional
-                     argument of every Mppm_util.Rng function. *)
-                  match
-                    List.find_opt
-                      (fun (lbl, _) -> lbl = Asttypes.Nolabel)
-                      args
-                  with
-                  | Some (_, state_arg) -> (
-                      match rng_field_of_arg state_arg with
-                      | Some f -> rng_fields := f :: !rng_fields
-                      | None -> ())
-                  | None -> ())
-              | None -> ());
-              (* S3: float accumulation over unordered Hashtbl iteration *)
-              let closure_has_float_op () =
-                List.exists
-                  (fun (_, a) ->
-                    (is_fun a && expr_contains is_float_op a) || is_float_op a)
-                  args
-              in
-              match List.rev path with
-              | m :: "Hashtbl" :: _ when m = "fold" || m = "iter" ->
-                  if closure_has_float_op () then
-                    st.st_accums <-
-                      { fa_line = line; fa_context = "Hashtbl." ^ m }
-                      :: st.st_accums
-              | m :: _
-                when (m = "fold_left" || m = "fold_right" || m = "fold")
-                     && List.exists
-                          (fun (_, a) ->
-                            applies_hashtbl_to_seq st.st_aliases a)
-                          args
-                     && closure_has_float_op () ->
-                  st.st_accums <-
-                    { fa_line = line; fa_context = "fold over Hashtbl.to_seq" }
-                    :: st.st_accums
-              | _ -> ())
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
+  let rec allocates rhs =
+    match rhs.Parsetree.pexp_desc with
+    | Parsetree.Pexp_array _ | Parsetree.Pexp_record _ -> true
+    | Parsetree.Pexp_constraint (e, _) -> allocates e
+    | Parsetree.Pexp_apply (head, _) ->
+        alloc_prim_of_path (head_path aliases head) <> None
+    | _ -> false
   in
-  it.expr it body;
-  let mutations = List.rev !mutations in
-  (* Perf facts only make sense for function bindings: a non-fn toplevel
-     binding runs once at module init, so its allocations are not
-     per-call costs and must not taint the hotness propagation. *)
-  let warm_sites, loop_sites, warm_calls, loop_calls, fn_has_loop =
-    if is_fun body then perf_scan st body else ([], [], [], [], false)
+  (* The facts of one application that do not depend on coldness. *)
+  let apply_facts line path args =
+    Option.iter
+      (fun (prim, idx) ->
+        Option.iter
+          (fun t -> record_write line t prim)
+          (nth_positional args idx))
+      (write_prim_of_path path);
+    (match first_positional_ident args with
+    | Some v when path <> [] -> push firsts (path, v, line)
+    | _ -> ());
+    (* Parallel entries, and calls to a local lambda that forwards a
+       parameter to one (S6).  Whether a lambda is such a sink is known
+       once its frame closes, so those calls resolve after the walk. *)
+    let pool_call resolve = pool_calls := (line, resolve) :: !pool_calls in
+    (match (pool_entry_of_path path, path) with
+    | Some entry, _ ->
+        let task = task_arg_of_entry entry args in
+        (match task with
+        | Some
+            {
+              Parsetree.pexp_desc =
+                Parsetree.Pexp_ident { txt = Longident.Lident v; _ };
+              _;
+            } ->
+            push sinks v
+        | _ -> ());
+        let tasks = match task with Some e -> tasks_of_expr e | None -> [] in
+        pool_call (Fun.const (Some (entry, tasks)))
+    | None, [ name ] when List.mem_assoc name !named ->
+        let lambdas = List.filter (fun (v, _) -> v = name) !named in
+        let tasks = List.map tasks_of_expr (positional args) in
+        pool_call (fun () ->
+            List.find_map
+              (fun (_, lambda) -> sink_index lambda (frame_of lambda))
+              lambdas
+            |> Option.map (fun i ->
+                   ( "Pool.map via " ^ name,
+                     Option.value ~default:[] (List.nth_opt tasks i) )))
+    | None, _ -> ());
+    (* Rng call classification *)
+    (match rng_member_of_path path with
+    | Some "create" ->
+        let constant =
+          match List.assoc_opt (Asttypes.Labelled "seed") args with
+          | Some seed_expr -> not (mentions_ident seed_expr)
+          | None -> false
+        in
+        st.st_creates <-
+          { rc_line = line; rc_constant_seed = constant } :: st.st_creates
+    | Some _ ->
+        (* A draw: the generator state is the first positional argument
+           of every Mppm_util.Rng function. *)
+        Option.iter
+          (fun f -> rng_fields := f :: !rng_fields)
+          (Option.bind (nth_positional args 0) rng_field_of_arg)
+    | None -> ());
+    (* S3: float accumulation over unordered Hashtbl iteration *)
+    let accum fa_context =
+      if
+        List.exists
+          (fun (_, a) ->
+            (is_fun a && expr_contains is_float_op a) || is_float_op a)
+          args
+      then st.st_accums <- { fa_line = line; fa_context } :: st.st_accums
+    in
+    match List.rev path with
+    | m :: "Hashtbl" :: _ when m = "fold" || m = "iter" ->
+        accum ("Hashtbl." ^ m)
+    | m :: _
+      when (m = "fold_left" || m = "fold_right" || m = "fold")
+           && List.exists (fun (_, a) -> applies_hashtbl_to_seq aliases a) args
+      ->
+        accum "fold over Hashtbl.to_seq"
+    | _ -> ()
   in
+  let default = Ast_iterator.default_iterator in
+  let rec expr it e =
+    if !perf && marked_cold e then scoped perf false (fun () -> node it e)
+    else node it e
+  and node it e =
+    let line = line_of_expr e in
+    let attrs () = it.Ast_iterator.attributes it e.Parsetree.pexp_attributes in
+    match e.Parsetree.pexp_desc with
+    | Parsetree.Pexp_ident { txt; _ } -> (
+        let path = expand aliases (flatten txt) in
+        note_ident line path;
+        record_call path;
+        match poly_compare_of_path path with
+        | Some p -> site "P2" ("polymorphic " ^ p ^ " passed as a value") line
+        | None -> ())
+    | Parsetree.Pexp_field (_, { txt; _ }) ->
+        (* Qualified record-field access ([cfg.Hierarchy.llc]) counts as a
+           reference so S4 does not flag a val sharing a field's name. *)
+        st.st_refs <- expand aliases (flatten txt) :: st.st_refs;
+        default.expr it e
+    | Parsetree.Pexp_open (od, _) ->
+        note_open st od;
+        default.expr it e
+    | Parsetree.Pexp_setfield (target, _, _) ->
+        record_write line target "<-";
+        default.expr it e
+    | Parsetree.Pexp_apply (head, args) ->
+        let path = head_path aliases head in
+        apply_facts line path args;
+        let walk () =
+          record_call path;
+          apply_sites line path args;
+          attrs ();
+          (match head.Parsetree.pexp_desc with
+          | Parsetree.Pexp_ident _ ->
+              it.Ast_iterator.attributes it head.Parsetree.pexp_attributes;
+              note_ident (line_of_expr head) path
+          | _ -> it.Ast_iterator.expr it head);
+          List.iter (fun (_, a) -> it.Ast_iterator.expr it a) args
+        in
+        if is_cold_apply_path path then scoped perf false walk else walk ()
+    | Parsetree.Pexp_let (_, vbs, let_body) ->
+        attrs ();
+        List.iter
+          (fun vb ->
+            let rhs = vb.Parsetree.pvb_expr in
+            (match
+               (vb.Parsetree.pvb_pat.Parsetree.ppat_desc, rhs.Parsetree.pexp_desc)
+             with
+            | Parsetree.Ppat_var { txt = v; _ }, Parsetree.Pexp_field (_, { txt; _ })
+              -> (
+                match field_name_of_lid txt with
+                | Some f -> field_aliases := (v, f) :: !field_aliases
+                | None -> ())
+            | Parsetree.Ppat_var { txt = v; _ }, _ when is_fun rhs ->
+                named := (v, rhs) :: !named;
+                if !perf && not (List.mem_assoc v !loop_lambdas) then
+                  loop_lambdas := (v, rhs) :: !loop_lambdas
+            | _ -> ());
+            if allocates rhs then
+              fn_alloc := pattern_names vb.Parsetree.pvb_pat @ !fn_alloc)
+          vbs;
+        List.iter
+          (fun vb ->
+            let reads = !guard_reads in
+            it.Ast_iterator.value_binding it vb;
+            match vb.Parsetree.pvb_pat.Parsetree.ppat_desc with
+            | Parsetree.Ppat_var { txt = v; _ } when !guard_reads > reads ->
+                cold_idents := v :: !cold_idents
+            | _ -> ())
+          vbs;
+        it.Ast_iterator.expr it let_body
+    | Parsetree.Pexp_fun _ | Parsetree.Pexp_function _ ->
+        let close = open_frame () in
+        chain it e;
+        let fr = close () in
+        frames := (e, fr) :: !frames;
+        if !perf && captures st fr then
+          site "P1" "closure allocation (captures its environment)" line
+    | Parsetree.Pexp_while (cond, loop_body) ->
+        if !perf then has_loop := true;
+        attrs ();
+        scoped in_loop true (fun () ->
+            it.Ast_iterator.expr it cond;
+            it.Ast_iterator.expr it loop_body)
+    | Parsetree.Pexp_for (pat, lo, hi, _, loop_body) ->
+        if !perf then has_loop := true;
+        attrs ();
+        it.Ast_iterator.pat it pat;
+        it.Ast_iterator.expr it lo;
+        it.Ast_iterator.expr it hi;
+        scoped in_loop true (fun () -> it.Ast_iterator.expr it loop_body)
+    | Parsetree.Pexp_ifthenelse (cond, then_, else_opt)
+      when !perf && is_cold_cond cond ->
+        attrs ();
+        scoped perf false (fun () ->
+            it.Ast_iterator.expr it cond;
+            it.Ast_iterator.expr it then_);
+        Option.iter (it.Ast_iterator.expr it) else_opt
+    | Parsetree.Pexp_match
+        (({ pexp_desc = Parsetree.Pexp_tuple comps; _ } as scrut), cases) ->
+        (* [match (a, b) with ...] deconstructs the pair in place — the
+           compiler never builds the tuple — so the scrutinee tuple is no
+           allocation site. *)
+        attrs ();
+        it.Ast_iterator.attributes it scrut.Parsetree.pexp_attributes;
+        List.iter (it.Ast_iterator.expr it) comps;
+        List.iter (it.Ast_iterator.case it) cases
+    | Parsetree.Pexp_tuple _ ->
+        site "P1" "tuple allocation" line;
+        default.expr it e
+    | Parsetree.Pexp_record _ ->
+        site "P1" "record allocation" line;
+        default.expr it e
+    | Parsetree.Pexp_array els ->
+        if els <> [] then site "P1" "array literal" line;
+        default.expr it e
+    | Parsetree.Pexp_construct ({ txt = Longident.Lident "::"; _ }, _) ->
+        site "P1" "list cons" line;
+        default.expr it e
+    | _ -> default.expr it e
+  (* A syntactically curried chain — ending in a [function] or not —
+     compiles to one multi-param closure, so captures are judged on the
+     whole chain and its inner nodes open no frame of their own: an outer
+     param is not a capture of the inner lambda.  Perf skips the
+     parameters themselves and their default values. *)
+  and chain it e =
+    let attrs () = it.Ast_iterator.attributes it e.Parsetree.pexp_attributes in
+    match e.Parsetree.pexp_desc with
+    | Parsetree.Pexp_fun (_, default_value, pat, rest) ->
+        attrs ();
+        scoped perf false (fun () ->
+            Option.iter (it.Ast_iterator.expr it) default_value;
+            it.Ast_iterator.pat it pat);
+        chain it rest
+    | Parsetree.Pexp_newtype (_, rest) | Parsetree.Pexp_constraint (rest, _) ->
+        attrs ();
+        chain it rest
+    | Parsetree.Pexp_function cases ->
+        let walk () =
+          attrs ();
+          List.iter (it.Ast_iterator.case it) cases
+        in
+        if !perf && marked_cold e then scoped perf false walk else walk ()
+    | _ -> it.Ast_iterator.expr it e
+  in
+  let pat it p =
+    (match p.Parsetree.ppat_desc with
+    | Parsetree.Ppat_var { txt; _ } | Parsetree.Ppat_alias (_, { txt; _ }) ->
+        push bound txt
+    | _ -> ());
+    default.pat it p
+  in
+  let it = { default with expr; pat } in
+  if is_fun body then chain it body else it.expr it body;
+  (* Fold loop-referenced local lambdas into the loop region. *)
+  let rec fold_loop_lambdas visited =
+    let loop_idents =
+      List.filter_map (function [ v ] -> Some v | _ -> None) !loop_calls
+    in
+    let pending =
+      List.filter
+        (fun (v, _) -> List.mem v loop_idents && not (List.mem v visited))
+        !loop_lambdas
+    in
+    if pending <> [] then begin
+      List.iter
+        (fun (_, lambda) ->
+          let fr = frame_of lambda in
+          loop_sites := fr.fr_sites @ !loop_sites;
+          loop_calls := fr.fr_calls @ !loop_calls)
+        pending;
+      fold_loop_lambdas (List.map fst pending @ visited)
+    end
+  in
+  fold_loop_lambdas [];
+  let fn_bound = bound.items in
+  let mutations =
+    List.rev_map
+      (fun (v, qualified, prim, line) ->
+        let scope =
+          if qualified then Mut_toplevel
+          else if List.mem v !fn_alloc then Mut_local
+          else if List.mem v fn_bound then Mut_arg
+          else Mut_toplevel
+        in
+        { mut_target = v; mut_prim = prim; mut_scope = scope; mut_line = line })
+      writes.items
+  in
+  let params = all_params body in
   {
     fn_name;
     fn_line;
-    calls = List.sort_uniq compare !calls;
+    calls = List.sort_uniq compare paths.items;
     rng_fields = List.sort_uniq compare !rng_fields;
     prim_io = List.rev !prim_io;
     prim_conc = List.rev !prim_conc;
     has_rng = !has_rng;
     mutations;
     mut_arg0 =
-      (match first_param with
-      | Some p ->
+      (match List.find_opt (fun (l, _) -> l = None) params with
+      | Some (_, p) ->
           List.exists
             (fun m -> m.mut_scope = Mut_arg && m.mut_target = p)
             mutations
       | None -> false);
-    pool_calls = List.rev !pool_calls;
-    top_arg_calls = List.rev !top_arg_calls;
+    pool_calls =
+      List.filter_map
+        (fun (pc_line, resolve) ->
+          Option.map
+            (fun (pc_entry, tasks) ->
+              { pc_entry; pc_line; pc_tasks = List.map (fun t -> t ()) tasks })
+            (resolve ()))
+        (List.rev !pool_calls);
+    top_arg_calls =
+      List.rev
+        (List.filter (fun (_, v, _) -> List.mem v st.st_toplevel) firsts.items);
     raises = !raises;
-    fn_hot =
-      List.mem fn_line st.st_hots || List.mem (fn_line - 1) st.st_hots;
-    fn_has_loop;
-    warm_sites;
-    loop_sites;
-    warm_calls;
-    loop_calls;
-    fn_uparams = all_params body;
-    fn_ubody = uexpr_of st.st_aliases (strip_params body);
-    fn_unit_annot = unit_annot_at st fn_line;
+    fn_hot = List.mem fn_line st.st_hots || List.mem (fn_line - 1) st.st_hots;
+    fn_has_loop = !has_loop;
+    warm_sites = List.sort_uniq compare sites.items;
+    loop_sites = List.sort_uniq compare !loop_sites;
+    warm_calls = List.sort_uniq compare perf_calls.items;
+    loop_calls = List.sort_uniq compare !loop_calls;
+    fn_uparams = params;
+    fn_ubody = uexpr_of aliases (strip_params body);
+    fn_unit_annot = unit_annot_near st.st_units fn_line;
   }
-
-let line_of_loc (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
 
 (* Record fields declared by one type declaration: (name, line) pairs,
    so unit annotations can attach by line. *)
@@ -1415,6 +1290,12 @@ let record_fields_of_decls decls =
       | _ -> [])
     decls
 
+(* A module expression's structure, through any signature constraint. *)
+let rec module_body me =
+  match me.Parsetree.pmod_desc with
+  | Parsetree.Pmod_constraint (me, _) -> module_body me
+  | d -> d
+
 (* First pass: module-level opens, aliases, value names and mutable
    allocations, recursing into inline submodule structures. *)
 let rec collect_scaffolding st items =
@@ -1424,21 +1305,12 @@ let rec collect_scaffolding st items =
       | Parsetree.Pstr_type (_, decls) ->
           List.iter
             (fun (fname, fline) ->
-              match unit_annot_at st fline with
+              match unit_annot_near st.st_units fline with
               | Some u -> st.st_fields <- (fname, u) :: st.st_fields
               | None -> ())
             (record_fields_of_decls decls)
-      | Parsetree.Pstr_open od -> (
-          match od.Parsetree.popen_expr.Parsetree.pmod_desc with
-          | Parsetree.Pmod_ident { txt; _ } ->
-              st.st_opens <- flatten txt :: st.st_opens
-          | _ -> ())
+      | Parsetree.Pstr_open od -> note_open st od
       | Parsetree.Pstr_module mb -> (
-          let rec module_body me =
-            match me.Parsetree.pmod_desc with
-            | Parsetree.Pmod_constraint (me, _) -> module_body me
-            | d -> d
-          in
           match (mb.Parsetree.pmb_name.Location.txt, module_body mb.Parsetree.pmb_expr) with
           | Some name, Parsetree.Pmod_ident { txt; _ } ->
               st.st_aliases <- (name, flatten txt) :: st.st_aliases
@@ -1470,35 +1342,27 @@ let rec collect_scaffolding st items =
 
 (* Second pass: one fn summary per top-level binding. *)
 let rec collect_fns st items =
+  let scan names fn_line body =
+    let fn_name =
+      match names with
+      | name :: _ -> name
+      | [] -> Printf.sprintf "(init:%d)" fn_line
+    in
+    st.st_fns <- scan_body st ~fn_name ~fn_line body :: st.st_fns
+  in
   List.iter
     (fun item ->
       match item.Parsetree.pstr_desc with
       | Parsetree.Pstr_value (_, vbs) ->
           List.iter
             (fun vb ->
-              let fn_name =
-                match pattern_names vb.Parsetree.pvb_pat with
-                | name :: _ -> name
-                | [] -> Printf.sprintf "(init:%d)" (line_of_loc vb.Parsetree.pvb_loc)
-              in
-              st.st_fns <-
-                scan_body st ~fn_name
-                  ~fn_line:(line_of_loc vb.Parsetree.pvb_loc)
-                  vb.Parsetree.pvb_expr
-                :: st.st_fns)
+              scan
+                (pattern_names vb.Parsetree.pvb_pat)
+                (line_of_loc vb.Parsetree.pvb_loc)
+                vb.Parsetree.pvb_expr)
             vbs
-      | Parsetree.Pstr_eval (e, _) ->
-          st.st_fns <-
-            scan_body st
-              ~fn_name:(Printf.sprintf "(init:%d)" (line_of_expr e))
-              ~fn_line:(line_of_expr e) e
-            :: st.st_fns
+      | Parsetree.Pstr_eval (e, _) -> scan [] (line_of_expr e) e
       | Parsetree.Pstr_module mb -> (
-          let rec module_body me =
-            match me.Parsetree.pmod_desc with
-            | Parsetree.Pmod_constraint (me, _) -> module_body me
-            | d -> d
-          in
           match module_body mb.Parsetree.pmb_expr with
           | Parsetree.Pmod_structure items -> collect_fns st items
           | _ -> ())

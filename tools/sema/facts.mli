@@ -29,7 +29,6 @@ type mutation = {
     [Stack], [Atomic] or [Bigarray] values. *)
 
 type closure = {
-  ct_line : int;
   ct_writes : (string * string * string * int) list;
       (** [(target, prim, scope, line)] writes to values the closure does
           not bind itself; [scope] is ["captured"] or ["toplevel"] *)

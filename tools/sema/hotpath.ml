@@ -14,13 +14,6 @@
 
 module Diag = Mppm_lint.Diag
 
-type node = {
-  n_rel : string;
-  n_unit : string;  (* unit key, e.g. "lib/cache/sdc" *)
-  n_fn : Facts.fn;
-  n_facts : Facts.t;  (* for alias/open-aware path resolution *)
-}
-
 type entry = {
   h_key : string;  (* unit_key ^ ":" ^ fn_name *)
   h_rel : string;
@@ -31,138 +24,90 @@ type entry = {
   h_sites : (Facts.perf_site * bool) list;  (* (site, allow-suppressed) *)
 }
 
-let node_key unit_key fn_name = unit_key ^ ":" ^ fn_name
-
-let label unit_key fn_name =
-  String.capitalize_ascii (Filename.basename unit_key) ^ "." ^ fn_name
-
-let in_lib rel = String.length rel >= 4 && String.sub rel 0 4 = "lib/"
-
-(* Pure reachability core, exposed for the law tests: the hot set is
-   exactly the set of nodes reachable from [roots] over [edges]. *)
-let closure ~roots ~edges =
-  let adj : (string, string list) Hashtbl.t =
-    Hashtbl.create ~random:false 64
-  in
-  List.iter
-    (fun (src, dsts) ->
-      let prev =
-        match Hashtbl.find_opt adj src with Some l -> l | None -> []
-      in
-      Hashtbl.replace adj src (dsts @ prev))
-    edges;
-  let hot : (string, unit) Hashtbl.t = Hashtbl.create ~random:false 64 in
-  let rec visit k =
-    if not (Hashtbl.mem hot k) then begin
-      Hashtbl.add hot k ();
-      List.iter visit
-        (match Hashtbl.find_opt adj k with Some l -> l | None -> [])
-    end
-  in
-  List.iter visit roots;
-  Hashtbl.fold (fun k () acc -> k :: acc) hot [] |> List.sort compare
-
-(* The hot region of a node: an annotated root with a loop is hot in its
-   loops only; everything else (loop-free roots, transitively-hot fns)
-   is hot over the whole cold-guard-stripped body. *)
-let region_calls n =
-  if n.n_fn.Facts.fn_hot && n.n_fn.Facts.fn_has_loop then
-    n.n_fn.Facts.loop_calls
-  else n.n_fn.Facts.warm_calls
-
-let region_sites n =
-  if n.n_fn.Facts.fn_hot && n.n_fn.Facts.fn_has_loop then
-    n.n_fn.Facts.loop_sites
-  else n.n_fn.Facts.warm_sites
-
-let analyze env facts_list =
-  let nodes : (string, node) Hashtbl.t = Hashtbl.create ~random:false 512 in
-  List.iter
-    (fun (f : Facts.t) ->
-      if (not f.Facts.is_mli) && not f.Facts.parse_failed then begin
-        let unit_key = Facts.unit_key_of_rel f.Facts.rel in
-        List.iter
-          (fun (fn : Facts.fn) ->
-            Hashtbl.replace nodes
-              (node_key unit_key fn.Facts.fn_name)
-              { n_rel = f.Facts.rel; n_unit = unit_key; n_fn = fn; n_facts = f })
-          f.Facts.fns
-      end)
-    facts_list;
-  let callee_key (f : Facts.t) path =
-    match path with
-    | [ name ] ->
-        let k = node_key (Facts.unit_key_of_rel f.Facts.rel) name in
-        if Hashtbl.mem nodes k then Some k else None
-    | _ -> (
-        match Resolve.resolve env f path with
-        | Some (callee_unit, member) ->
-            let k = node_key callee_unit member in
-            if Hashtbl.mem nodes k then Some k else None
-        | None -> None)
-  in
-  let succs n =
-    List.filter_map (callee_key n.n_facts) (region_calls n)
-    |> List.sort_uniq compare
-  in
-  (* BFS from all roots at once: [parent] doubles as the visited set and
-     yields a shortest call chain per reached node.  Roots are seeded in
-     sorted order so ties break deterministically. *)
-  let roots =
-    Hashtbl.fold
-      (fun k n acc -> if n.n_fn.Facts.fn_hot then k :: acc else acc)
-      nodes []
-    |> List.sort compare
-  in
+(* Breadth-first search from all roots at once.  The result maps every
+   reached node to its BFS parent ([None] for a root), so it is both the
+   reachable set and a shortest chain back to a root for each node.
+   Roots and successors are visited in the given order, so ties break
+   deterministically. *)
+let bfs ~roots ~succs =
   let parent : (string, string option) Hashtbl.t =
     Hashtbl.create ~random:false 256
   in
   let q = Queue.create () in
-  List.iter
-    (fun r ->
-      if not (Hashtbl.mem parent r) then begin
-        Hashtbl.replace parent r None;
-        Queue.add r q
-      end)
-    roots;
+  let reach p k =
+    if not (Hashtbl.mem parent k) then begin
+      Hashtbl.replace parent k p;
+      Queue.add k q
+    end
+  in
+  List.iter (reach None) roots;
   while not (Queue.is_empty q) do
     let k = Queue.pop q in
-    List.iter
-      (fun s ->
-        if not (Hashtbl.mem parent s) then begin
-          Hashtbl.replace parent s (Some k);
-          Queue.add s q
-        end)
-      (succs (Hashtbl.find nodes k))
+    List.iter (reach (Some k)) (succs k)
   done;
+  parent
+
+(* The reached set of a {!bfs} result, sorted. *)
+let reached parent =
+  Hashtbl.fold (fun k _ acc -> k :: acc) parent [] |> List.sort compare
+
+(* The hot set over plain edges. *)
+let closure ~roots ~edges =
+  let succs k =
+    List.concat_map (fun (src, dsts) -> if src = k then dsts else []) edges
+  in
+  reached (bfs ~roots ~succs)
+
+(* The hot region of a node: an annotated root with a loop is hot in its
+   loops only; everything else (loop-free roots, transitively-hot fns)
+   is hot over the whole cold-guard-stripped body. *)
+let loop_region (fn : Facts.fn) = fn.Facts.fn_hot && fn.Facts.fn_has_loop
+
+let analyze graph =
+  let node k = Option.get (Callgraph.node graph k) in
+  let succs k =
+    let n = node k in
+    let fn = n.Callgraph.fn in
+    List.filter_map
+      (fun path ->
+        Option.map
+          (fun (c : Callgraph.node) -> c.Callgraph.key)
+          (Callgraph.find graph n.Callgraph.facts path))
+      (if loop_region fn then fn.Facts.loop_calls else fn.Facts.warm_calls)
+    |> List.sort_uniq compare
+  in
+  let roots =
+    Array.to_list (Callgraph.nodes graph)
+    |> List.filter_map (fun (n : Callgraph.node) ->
+           if n.Callgraph.fn.Facts.fn_hot then Some n.Callgraph.key else None)
+    |> List.sort compare
+  in
+  let parent = bfs ~roots ~succs in
   let rec chain k acc =
-    let n = Hashtbl.find nodes k in
-    let lbl = label n.n_unit n.n_fn.Facts.fn_name in
-    match Hashtbl.find parent k with
-    | None -> lbl :: acc
-    | Some p -> chain p (lbl :: acc)
+    let acc = Callgraph.label (node k) :: acc in
+    match Hashtbl.find parent k with None -> acc | Some p -> chain p acc
   in
   let entries =
-    Hashtbl.fold
-      (fun k n acc -> if Hashtbl.mem parent k then (k, n) :: acc else acc)
-      nodes []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map (fun (k, n) ->
+    reached parent
+    |> List.map (fun k ->
+           let n = node k in
+           let f = n.Callgraph.facts and fn = n.Callgraph.fn in
            {
-             h_key = k;
-             h_rel = n.n_rel;
-             h_label = label n.n_unit n.n_fn.Facts.fn_name;
-             h_line = n.n_fn.Facts.fn_line;
-             h_root = n.n_fn.Facts.fn_hot;
-             h_chain = chain k [];
+             h_key = n.Callgraph.key;
+             h_rel = f.Facts.rel;
+             h_label = Callgraph.label n;
+             h_line = fn.Facts.fn_line;
+             h_root = fn.Facts.fn_hot;
+             h_chain = chain n.Callgraph.key [];
              h_sites =
                List.map
                  (fun (s : Facts.perf_site) ->
                    ( s,
-                     Mppm_lint.Engine.allowed ~allows:n.n_facts.Facts.allows
-                       ~allow_files:n.n_facts.Facts.allow_files
-                       s.Facts.ps_rule s.Facts.ps_line ))
-                 (region_sites n);
+                     Mppm_lint.Engine.allowed ~allows:f.Facts.allows
+                       ~allow_files:f.Facts.allow_files s.Facts.ps_rule
+                       s.Facts.ps_line ))
+                 (if loop_region fn then fn.Facts.loop_sites
+                  else fn.Facts.warm_sites);
            })
   in
   (* Rank: open (unsuppressed) site count descending, then shortest
@@ -174,9 +119,7 @@ let analyze env facts_list =
     (fun a b ->
       match compare (open_sites b) (open_sites a) with
       | 0 -> (
-          match
-            compare (List.length a.h_chain) (List.length b.h_chain)
-          with
+          match compare (List.length a.h_chain) (List.length b.h_chain) with
           | 0 -> compare a.h_key b.h_key
           | c -> c)
       | c -> c)
@@ -210,7 +153,8 @@ let check entries =
                line = s.Facts.ps_line;
                rule = s.Facts.ps_rule;
                severity =
-                 (if in_lib e.h_rel then Diag.Error else Diag.Warning);
+                 (if Mppm_lint.Rules.in_lib e.h_rel then Diag.Error
+                  else Diag.Warning);
                message =
                  Printf.sprintf "%s on the hot path (%s); %s"
                    s.Facts.ps_what via (hint s.Facts.ps_rule);

@@ -24,11 +24,12 @@ type entry = {
 (** One hot function in the ranked inventory. *)
 
 val closure : roots:string list -> edges:(string * string list) list -> string list
-(** [closure ~roots ~edges] is the pure reachability core: the sorted
-    set of nodes reachable from [roots] over [edges].  Exposed for the
-    propagation law tests (idempotence, monotonicity, root-subset). *)
+(** [closure ~roots ~edges] is the sorted set of nodes reachable from
+    [roots] over [edges]: the key set of the same breadth-first search
+    {!analyze} runs.  Exposed for the propagation law tests
+    (idempotence, monotonicity, root-subset). *)
 
-val analyze : Resolve.env -> Facts.t list -> entry list
+val analyze : Callgraph.t -> entry list
 (** The full hot-function inventory, ranked by open (unsuppressed) site
     count descending, then shortest chain, then key — the order of the
     flat-rewrite work-list surfaced by [lint --report hot]. *)

@@ -23,7 +23,6 @@
 
 module Diag = Mppm_lint.Diag
 
-let in_lib rel = String.length rel >= 4 && String.sub rel 0 4 = "lib/"
 let pretty path = String.concat "." path
 
 let diag rel line rule message =
@@ -31,24 +30,23 @@ let diag rel line rule message =
 
 (* ---- S6: pool-task purity ----------------------------------------------- *)
 
-(* A resolvable callee whose closed summary still carries the
-   module-state taint: the purity allowlist was already absorbed during
-   propagation, but the sanctioned units themselves keep their own bit. *)
-let tainted_callee table facts path =
+(* A resolvable callee outside the purity allowlist for which [pick]
+   holds, with its module-state witness.  The allowlist was already
+   absorbed during propagation, but the sanctioned units themselves keep
+   their own bits. *)
+let unsanctioned_callee pick table facts path =
   match Effects.find table facts path with
-  | Some i
-    when i.Effects.i_summary.Effects.e_mut_top
-         && not (Effects.in_purity_allowlist i.Effects.i_unit) ->
-      Some i
+  | Some (n, s, witness)
+    when pick n s && not (Effects.in_purity_allowlist n.Callgraph.unit_key) ->
+      Some witness
   | _ -> None
 
-let arg0_mutating_callee table facts path =
-  match Effects.find table facts path with
-  | Some i
-    when i.Effects.i_mut_arg0
-         && not (Effects.in_purity_allowlist i.Effects.i_unit) ->
-      Some i
-  | _ -> None
+(* The callee still carries the module-state taint. *)
+let tainted_callee = unsanctioned_callee (fun _ s -> s.Effects.e_mut_top)
+
+(* The callee mutates its own first positional parameter. *)
+let arg0_mutating_callee =
+  unsanctioned_callee (fun n _ -> n.Callgraph.fn.Facts.mut_arg0)
 
 let s6_task table (facts : Facts.t) (pc : Facts.pool_call) task =
   let d line message = diag facts.Facts.rel line "S6" message in
@@ -65,14 +63,13 @@ let s6_task table (facts : Facts.t) (pc : Facts.pool_call) task =
       @ List.filter_map
           (fun path ->
             match tainted_callee table facts path with
-            | Some i ->
+            | Some witness ->
                 Some
                   (d pc.Facts.pc_line
                      (Printf.sprintf
                         "task passed to %s calls %s, which reaches \
                          module-level mutable state (%s)"
-                        pc.Facts.pc_entry (pretty path)
-                        i.Effects.i_mut_witness))
+                        pc.Facts.pc_entry (pretty path) witness))
             | None -> None)
           c.Facts.ct_calls
       @ List.filter_map
@@ -90,13 +87,13 @@ let s6_task table (facts : Facts.t) (pc : Facts.pool_call) task =
           c.Facts.ct_escaping
   | Facts.Task_path (path, applied) ->
       (match tainted_callee table facts path with
-      | Some i ->
+      | Some witness ->
           [
             d pc.Facts.pc_line
               (Printf.sprintf
                  "task %s passed to %s reaches module-level mutable state \
                   (%s)"
-                 (pretty path) pc.Facts.pc_entry i.Effects.i_mut_witness);
+                 (pretty path) pc.Facts.pc_entry witness);
           ]
       | None -> [])
       @
@@ -111,80 +108,74 @@ let s6_task table (facts : Facts.t) (pc : Facts.pool_call) task =
           ]
       | _ -> [])
 
+(* The files S6 and S7 police: parsed lib/ implementations outside the
+   purity allowlist. *)
+let policed facts_list =
+  List.filter
+    (fun (f : Facts.t) ->
+      Mppm_lint.Rules.in_lib f.Facts.rel
+      && (not f.Facts.is_mli) && (not f.Facts.parse_failed)
+      && not (Effects.in_purity_allowlist (Facts.unit_key_of_rel f.Facts.rel)))
+    facts_list
+
 let s6 table facts_list =
   List.concat_map
     (fun (f : Facts.t) ->
-      if
-        in_lib f.Facts.rel && (not f.Facts.is_mli)
-        && (not f.Facts.parse_failed)
-        && not (Effects.in_purity_allowlist (Facts.unit_key_of_rel f.Facts.rel))
-      then
-        List.concat_map
-          (fun (fn : Facts.fn) ->
-            List.concat_map
-              (fun (pc : Facts.pool_call) ->
-                List.concat_map (s6_task table f pc) pc.Facts.pc_tasks)
-              fn.Facts.pool_calls)
-          f.Facts.fns
-      else [])
-    facts_list
+      List.concat_map
+        (fun (fn : Facts.fn) ->
+          List.concat_map
+            (fun (pc : Facts.pool_call) ->
+              List.concat_map (s6_task table f pc) pc.Facts.pc_tasks)
+            fn.Facts.pool_calls)
+        f.Facts.fns)
+    (policed facts_list)
 
 (* ---- S7: no new module-level mutable state in lib/ ----------------------- *)
 
 let s7 table facts_list =
   List.concat_map
     (fun (f : Facts.t) ->
-      if
-        in_lib f.Facts.rel && (not f.Facts.is_mli)
-        && (not f.Facts.parse_failed)
-        && not (Effects.in_purity_allowlist (Facts.unit_key_of_rel f.Facts.rel))
-      then
-        let d line message = diag f.Facts.rel line "S7" message in
-        List.map
-          (fun (name, kind, line) ->
-            d line
-              (Printf.sprintf
-                 "module-level mutable state %s (%s) in lib/; keep state \
-                  local, thread it through arguments, or move it into a \
-                  sanctioned memo/registry unit"
-                 name kind))
-          f.Facts.toplevel_muts
-        @ List.concat_map
-            (fun (fn : Facts.fn) ->
-              List.filter_map
-                (fun (m : Facts.mutation) ->
-                  if m.Facts.mut_scope = Facts.Mut_toplevel then
-                    Some
-                      (d m.Facts.mut_line
-                         (Printf.sprintf
-                            "%s writes module-level mutable state %s (%s); \
-                             lib/ state outside the sanctioned \
-                             memo/registry units must stay local"
-                            fn.Facts.fn_name m.Facts.mut_target
-                            m.Facts.mut_prim))
-                  else None)
-                fn.Facts.mutations
-              @ List.filter_map
-                  (fun (path, target, line) ->
-                    match Effects.find table f path with
-                    | Some i
-                      when i.Effects.i_mut_arg0
-                           && not
-                                (Effects.in_purity_allowlist i.Effects.i_unit)
-                      ->
-                        Some
-                          (d line
-                             (Printf.sprintf
-                                "%s passes module-level value %s to %s, \
-                                 which mutates it; lib/ state outside the \
-                                 sanctioned memo/registry units must stay \
-                                 local"
-                                fn.Facts.fn_name target (pretty path)))
-                    | _ -> None)
-                  fn.Facts.top_arg_calls)
-            f.Facts.fns
-      else [])
-    facts_list
+      let d line message = diag f.Facts.rel line "S7" message in
+      List.map
+        (fun (name, kind, line) ->
+          d line
+            (Printf.sprintf
+               "module-level mutable state %s (%s) in lib/; keep state \
+                local, thread it through arguments, or move it into a \
+                sanctioned memo/registry unit"
+               name kind))
+        f.Facts.toplevel_muts
+      @ List.concat_map
+          (fun (fn : Facts.fn) ->
+            List.filter_map
+              (fun (m : Facts.mutation) ->
+                if m.Facts.mut_scope = Facts.Mut_toplevel then
+                  Some
+                    (d m.Facts.mut_line
+                       (Printf.sprintf
+                          "%s writes module-level mutable state %s (%s); \
+                           lib/ state outside the sanctioned \
+                           memo/registry units must stay local"
+                          fn.Facts.fn_name m.Facts.mut_target
+                          m.Facts.mut_prim))
+                else None)
+              fn.Facts.mutations
+            @ List.filter_map
+                (fun (path, target, line) ->
+                  match arg0_mutating_callee table f path with
+                  | Some _ ->
+                      Some
+                        (d line
+                           (Printf.sprintf
+                              "%s passes module-level value %s to %s, \
+                               which mutates it; lib/ state outside the \
+                               sanctioned memo/registry units must stay \
+                               local"
+                              fn.Facts.fn_name target (pretty path)))
+                  | _ -> None)
+                fn.Facts.top_arg_calls)
+          f.Facts.fns)
+    (policed facts_list)
 
 (* ---- S8: declared lock order --------------------------------------------- *)
 
@@ -209,14 +200,14 @@ let s8 table facts_list =
                       List.filter_map
                         (fun path ->
                           match Effects.find table f path with
-                          | Some i -> (
+                          | Some (_, s, _) -> (
                               let outer =
                                 List.find_opt
                                   (fun c ->
                                     match Effects.lock_rank c with
                                     | Some r -> r < own_rank
                                     | None -> false)
-                                  i.Effects.i_summary.Effects.e_locks
+                                  s.Effects.e_locks
                               in
                               match outer with
                               | Some c ->

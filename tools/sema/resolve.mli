@@ -16,11 +16,6 @@ val build : dunes:(string * string) list -> files:string list -> env
     capitalized name to the dune file's directory) and the list of scanned
     source paths. *)
 
-val key : dir:string -> unit_name:string -> string
-(** The unique key of a compilation unit, e.g.
-    [key ~dir:"lib/util" ~unit_name:"Rng" = "lib/util/rng"] — the same
-    value {!Facts.unit_key_of_rel} computes from a source path. *)
-
 val resolve : env -> Facts.t -> string list -> (string * string) option
 (** [resolve env facts path] is [Some (unit_key, member)] when [path],
     referenced from the file described by [facts], resolves to another

@@ -16,9 +16,9 @@
 
 module Diag = Mppm_lint.Diag
 
+(* Function-name pairs that must draw from disjoint Rng states when a
+   single unit defines both. *)
 let stream_pairs = [ ("next", "next_fetch") ]
-
-let in_lib rel = String.length rel >= 4 && String.sub rel 0 4 = "lib/"
 
 (* Transitive rng-field sets per top-level function of one unit, closed
    over unqualified same-unit calls to a fixpoint. *)
@@ -67,7 +67,9 @@ let fn_line (facts : Facts.t) name =
     facts.Facts.fns
 
 let check_unit (facts : Facts.t) =
-  if facts.Facts.is_mli || facts.Facts.parse_failed || not (in_lib facts.Facts.rel)
+  if
+    facts.Facts.is_mli || facts.Facts.parse_failed
+    || not (Mppm_lint.Rules.in_lib facts.Facts.rel)
   then []
   else begin
     let sets = field_sets facts in

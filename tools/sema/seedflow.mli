@@ -5,10 +5,6 @@
     the same [Rng.t] record field, closed over same-unit helpers) and
     flags [Rng.create] calls whose seed is a baked-in constant. *)
 
-val stream_pairs : (string * string) list
-(** Function-name pairs that must draw from disjoint Rng states when a
-    single unit defines both — currently [("next", "next_fetch")]. *)
-
 val check : Facts.t list -> Mppm_lint.Diag.t list
 (** S2 findings (errors) over [lib/] implementation files, sorted in
     {!Mppm_lint.Diag.compare} order.  Suppression is applied by the

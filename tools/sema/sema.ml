@@ -6,8 +6,9 @@
    (Seedflow), S3 order-sensitive float accumulation and S4 dead exports
    (here), the S6/S7/S8 parallel-determinism rules (Purity) over the
    closed effect table, the P rules (Hotpath) and the U rules (Units).
-   Every finding then goes through one suppression predicate,
-   Engine.allowed. *)
+   The cross-module passes share one Callgraph, built here once, so each
+   referenced path is resolved once per run.  Every finding then goes
+   through one suppression predicate, Engine.allowed. *)
 
 module Diag = Mppm_lint.Diag
 module Engine = Mppm_lint.Engine
@@ -24,8 +25,6 @@ type report = {
   units : Units.analysis;
 }
 
-let in_lib rel = String.length rel >= 4 && String.sub rel 0 4 = "lib/"
-
 (* S3: float accumulation over unordered Hashtbl iteration.  Iteration
    order depends on the hash layout, so a float sum folded over it is not
    reproducible across table histories — an error in lib/, a warning in
@@ -40,7 +39,7 @@ let s3 facts_list =
             line = fa.Facts.fa_line;
             rule = "S3";
             severity =
-              (if in_lib f.Facts.rel then Diag.Error else Diag.Warning);
+              (if Rules.in_lib f.Facts.rel then Diag.Error else Diag.Warning);
             message =
               Printf.sprintf
                 "float accumulation over unordered %s; iteration order is \
@@ -56,9 +55,12 @@ let s3 facts_list =
    unqualified names in a file that [open]s a unit count as potential
    uses of that unit (an over-approximation, so S4 under-reports rather
    than false-positives). *)
-let s4 env facts_list =
-  let used : (string * string, unit) Hashtbl.t =
-    Hashtbl.create ~random:false 1024
+let s4 graph facts_list =
+  let used : (string, unit) Hashtbl.t = Hashtbl.create ~random:false 1024 in
+  let other_unit self k =
+    match k with
+    | Some k when Callgraph.unit_of_key k <> self -> Some k
+    | _ -> None
   in
   List.iter
     (fun (f : Facts.t) ->
@@ -67,9 +69,9 @@ let s4 env facts_list =
         let opened_units =
           List.filter_map
             (fun open_path ->
-              match Resolve.resolve env f (open_path @ [ "_" ]) with
-              | Some (u, _) when u <> self -> Some u
-              | _ -> None)
+              Option.map Callgraph.unit_of_key
+                (other_unit self
+                   (Callgraph.key_of graph f (open_path @ [ "_" ]))))
             f.Facts.opens
         in
         List.iter
@@ -77,24 +79,24 @@ let s4 env facts_list =
             match path with
             | [ name ] ->
                 List.iter
-                  (fun u -> Hashtbl.replace used (u, name) ())
+                  (fun u -> Hashtbl.replace used (Callgraph.key u name) ())
                   opened_units
-            | _ -> (
-                match Resolve.resolve env f path with
-                | Some (u, m) when u <> self -> Hashtbl.replace used (u, m) ()
-                | _ -> ()))
+            | _ ->
+                Option.iter
+                  (fun k -> Hashtbl.replace used k ())
+                  (other_unit self (Callgraph.key_of graph f path)))
           f.Facts.refs
       end)
     facts_list;
   List.concat_map
     (fun (f : Facts.t) ->
       if
-        f.Facts.is_mli && in_lib f.Facts.rel && not f.Facts.parse_failed
+        f.Facts.is_mli && Rules.in_lib f.Facts.rel && not f.Facts.parse_failed
       then
         let self = Facts.unit_key_of_rel f.Facts.rel in
         List.filter_map
           (fun (name, line) ->
-            if Hashtbl.mem used (self, name) then None
+            if Hashtbl.mem used (Callgraph.key self name) then None
             else
               Some
                 {
@@ -117,13 +119,10 @@ let analyze ~dunes inputs =
   let facts_list =
     List.map (fun { rel; content } -> Facts.extract ~rel content) inputs
   in
-  let env =
-    Resolve.build ~dunes
-      ~files:(List.map (fun (f : Facts.t) -> f.Facts.rel) facts_list)
-  in
-  let table = Effects.build env facts_list in
-  let units = Units.analyze env facts_list in
-  let hot = Hotpath.analyze env facts_list in
+  let graph = Callgraph.build ~dunes facts_list in
+  let table = Effects.build graph in
+  let units = Units.analyze graph facts_list in
+  let hot = Hotpath.analyze graph in
   let raw =
     Effects.check table
     @ Seedflow.check facts_list
@@ -131,7 +130,7 @@ let analyze ~dunes inputs =
     @ Hotpath.check hot
     @ units.Units.u_diags
     @ s3 facts_list
-    @ s4 env facts_list
+    @ s4 graph facts_list
     @ List.concat_map (fun (f : Facts.t) -> f.Facts.syntax) facts_list
   in
   let diags =

@@ -156,19 +156,14 @@ let parse_sig s =
   (* Split on "->" arrows; each non-final component may carry a
      "label:" prefix binding it to a labeled parameter. *)
   let parts =
-    let rec go acc buf i =
-      if i >= String.length s then List.rev (Buffer.contents buf :: acc)
-      else if i + 1 < String.length s && s.[i] = '-' && s.[i + 1] = '>' then begin
-        let acc = Buffer.contents buf :: acc in
-        Buffer.clear buf;
-        go acc buf (i + 2)
-      end
-      else begin
-        Buffer.add_char buf s.[i];
-        go acc buf (i + 1)
-      end
+    let n = String.length s in
+    let rec go start i acc =
+      if i >= n then List.rev (String.sub s start (n - start) :: acc)
+      else if i + 1 < n && s.[i] = '-' && s.[i + 1] = '>' then
+        go (i + 2) (i + 2) (String.sub s start (i - start) :: acc)
+      else go start (i + 1) acc
     in
-    go [] (Buffer.create 16) 0 |> List.map String.trim
+    List.map String.trim (go 0 0 [])
   in
   match List.rev parts with
   | [] | [ "" ] -> { sig_params = []; sig_result = Any }
@@ -209,6 +204,8 @@ let fallback_token tok =
   | "programs" -> Some (known [ ("programs", 1) ])
   | _ -> None
 
+(* The whole lowercased name, then its last '_'-separated segment, then
+   its first; a "cum_"/"cumulative_" prefix sets the cumulative flavor. *)
 let rec fallback_of_name name =
   let name = String.lowercase_ascii name in
   let strip p =
@@ -291,19 +288,16 @@ type info = {
 }
 
 type ctx = {
-  cx_env : Resolve.env;
+  cx_graph : Callgraph.t;
   cx_table : (string, info) Hashtbl.t;
   cx_fields : (string, t) Hashtbl.t;
   mutable cx_emit : bool;
   cx_diags : Diag.t list ref;
   mutable cx_facts : Facts.t;
-  mutable cx_self : string;
 }
 
-let in_lib rel = String.length rel >= 4 && String.sub rel 0 4 = "lib/"
-
 let emit cx ~line rule message =
-  if cx.cx_emit && in_lib cx.cx_facts.Facts.rel then
+  if cx.cx_emit && Mppm_lint.Rules.in_lib cx.cx_facts.Facts.rel then
     cx.cx_diags :=
       { Diag.file = cx.cx_facts.Facts.rel; line; rule; severity = Diag.Error;
         message }
@@ -326,19 +320,28 @@ let field_unit cx f =
   | Some u -> u
   | None -> named f
 
+(* Pair each (label, x) with the unit [params] declares for it: labels
+   match declared labels, positional items consume the positional
+   declarations in order. *)
+let with_declared params items =
+  let positional =
+    ref
+      (List.filter_map (fun (l, u) -> if l = None then Some u else None) params)
+  in
+  List.map
+    (fun (lbl, x) ->
+      match (lbl, !positional) with
+      | Some _, _ -> (x, List.assoc_opt lbl params)
+      | None, u :: rest ->
+          positional := rest;
+          (x, Some u)
+      | None, [] -> (x, None))
+    items
+
 let lookup_info cx path =
-  match path with
-  | [ name ] -> (
-      match Hashtbl.find_opt cx.cx_table (cx.cx_self ^ ":" ^ name) with
-      | Some i -> Some i
-      | None -> (
-          match Resolve.resolve cx.cx_env cx.cx_facts path with
-          | Some (u, m) -> Hashtbl.find_opt cx.cx_table (u ^ ":" ^ m)
-          | None -> None))
-  | _ -> (
-      match Resolve.resolve cx.cx_env cx.cx_facts path with
-      | Some (u, m) -> Hashtbl.find_opt cx.cx_table (u ^ ":" ^ m)
-      | None -> None)
+  Option.bind
+    (Callgraph.key_of cx.cx_graph cx.cx_facts path)
+    (Hashtbl.find_opt cx.cx_table)
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                         *)
@@ -363,33 +366,12 @@ let rec eval cx scope (e : Facts.uexpr) : t =
           let what =
             Printf.sprintf "argument of %s" (String.concat "." ua_path)
           in
-          (* Labeled arguments match declared labels; positional ones
-             consume the positional declarations in order. *)
-          let positional =
-            List.filter (fun (l, _) -> l = None) i.i_params
-            |> List.map snd |> ref
-          in
           List.iter
-            (fun (lbl, actual) ->
-              let declared =
-                match lbl with
-                | Some l -> (
-                    match
-                      List.find_opt (fun (l', _) -> l' = Some l) i.i_params
-                    with
-                    | Some (_, u) -> Some u
-                    | None -> None)
-                | None -> (
-                    match !positional with
-                    | u :: rest ->
-                        positional := rest;
-                        Some u
-                    | [] -> None)
-              in
-              match declared with
-              | Some d -> check_assign cx ~line:ua_line ~what d actual
-              | None -> ())
-            args;
+            (fun (actual, declared) ->
+              Option.iter
+                (fun d -> check_assign cx ~line:ua_line ~what d actual)
+                declared)
+            (with_declared i.i_params args);
           i.i_result
       | Some i -> if i.i_params = [] then Opaque else i.i_result
       | None -> Opaque)
@@ -455,115 +437,66 @@ and arith cx ~line op l r =
     match (l, r) with
     | Opaque, _ | _, Opaque -> `Opaque
     | Any, Any -> `Anys
-    | Any, Known k -> `One (k.dims, k.cum, `Right)
-    | Known k, Any -> `One (k.dims, k.cum, `Left)
+    | Any, Known k | Known k, Any -> `One (k.dims, k.cum)
     | Known ka, Known kb ->
         if ka.dims = kb.dims then `Both (ka.dims, ka.cum, kb.cum)
         else `Conflict
   in
-  match op with
-  | Facts.U_add -> (
-      match shape with
-      | `Opaque -> Opaque
-      | `Anys -> Any
-      | `One (dims, cum, _) -> Known { dims; cum }
-      | `Both (dims, ca, cb) ->
-          if ca && cb then begin
-            emit cx ~line "U2"
-              (Printf.sprintf
-                 "adding two cumulative %s values — cumulative counters \
-                  compose by subtraction, not addition"
-                 (to_string (Known { dims; cum = false })));
-            Opaque
-          end
-          else
-            (* cumulative + per-interval extends the prefix sum *)
-            Known { dims; cum = ca || cb }
-      | `Conflict -> conflict "addition")
-  | Facts.U_sub -> (
-      match shape with
-      | `Opaque -> Opaque
-      | `Anys -> Any
-      | `One (dims, cum, _) -> Known { dims; cum }
-      | `Both (dims, ca, cb) ->
-          if ca && cb then
-            (* the discharge: cum - cum is back to per-interval *)
-            Known { dims; cum = false }
-          else if cb && not ca then begin
-            emit cx ~line "U2"
-              (Printf.sprintf
-                 "subtracting a cumulative %s counter from a per-interval \
-                  value — subtract two cumulative readings instead"
-                 (to_string (Known { dims; cum = false })));
-            Opaque
-          end
-          else Known { dims; cum = ca }
-      | `Conflict -> conflict "subtraction")
-  | Facts.U_minmax -> (
-      match shape with
-      | `Opaque -> Opaque
-      | `Anys -> Any
-      | `One (dims, cum, _) -> Known { dims; cum }
-      | `Both (dims, ca, cb) -> Known { dims; cum = ca && cb }
-      | `Conflict -> conflict "min/max")
-  | Facts.U_rem -> (
-      match shape with
-      | `Opaque -> Opaque
-      | `Anys -> Any
-      | `One (dims, cum, _) -> Known { dims; cum }
-      | `Both (dims, ca, _) -> Known { dims; cum = ca }
-      | `Conflict -> conflict "mod")
-  | Facts.U_cmp -> (
-      (* Comparisons are flavor-blind: checking a cumulative counter
-         against a per-interval threshold is ordinary control flow. *)
-      match shape with
-      | `Conflict ->
-          ignore (conflict "comparison");
-          Any
-      | _ -> Any)
-  | Facts.U_mul -> mul l r
-  | Facts.U_div -> div l r
+  let cumulative_misuse dims what =
+    emit cx ~line "U2"
+      (Printf.sprintf what (to_string (Known { dims; cum = false })));
+    Opaque
+  in
+  match (op, shape) with
+  | Facts.U_mul, _ -> mul l r
+  | Facts.U_div, _ -> div l r
+  (* Comparisons are flavor-blind: checking a cumulative counter against
+     a per-interval threshold is ordinary control flow. *)
+  | Facts.U_cmp, `Conflict ->
+      ignore (conflict "comparison");
+      Any
+  | Facts.U_cmp, _ -> Any
+  | _, `Opaque -> Opaque
+  | _, `Anys -> Any
+  | _, `One (dims, cum) -> Known { dims; cum }
+  | _, `Conflict ->
+      conflict
+        (match op with
+        | Facts.U_add -> "addition"
+        | Facts.U_sub -> "subtraction"
+        | Facts.U_minmax -> "min/max"
+        | _ -> "mod")
+  | Facts.U_add, `Both (dims, true, true) ->
+      cumulative_misuse dims
+        "adding two cumulative %s values — cumulative counters compose by \
+         subtraction, not addition"
+  (* cumulative + per-interval extends the prefix sum *)
+  | Facts.U_add, `Both (dims, ca, cb) -> Known { dims; cum = ca || cb }
+  (* the discharge: cum - cum is back to per-interval *)
+  | Facts.U_sub, `Both (dims, true, true) -> Known { dims; cum = false }
+  | Facts.U_sub, `Both (dims, false, true) ->
+      cumulative_misuse dims
+        "subtracting a cumulative %s counter from a per-interval value — \
+         subtract two cumulative readings instead"
+  | Facts.U_minmax, `Both (dims, ca, cb) -> Known { dims; cum = ca && cb }
+  | _, `Both (dims, ca, _) -> Known { dims; cum = ca }
 
 (* ------------------------------------------------------------------ *)
 (* Table construction and the fixpoint                                *)
 (* ------------------------------------------------------------------ *)
 
-let fn_key (f : Facts.t) (fn : Facts.fn) =
-  Facts.unit_key_of_rel f.Facts.rel ^ ":" ^ fn.Facts.fn_name
-
 (* Bind a function's parameters for body evaluation: annotation-declared
    units first (labels by name, positionals in order), the naming
    fallback for the rest. *)
 let param_scope (fn : Facts.fn) (i : info) =
-  let positional =
-    List.filter (fun (l, _) -> l = None) i.i_params |> List.map snd |> ref
-  in
   List.map
-    (fun (lbl, name) ->
-      let declared =
-        match lbl with
-        | Some l -> (
-            match
-              List.find_opt (fun (l', _) -> l' = Some l) i.i_params
-            with
-            | Some (_, u) -> Some u
-            | None -> None)
-        | None -> (
-            match !positional with
-            | u :: rest ->
-                positional := rest;
-                Some u
-            | [] -> None)
-      in
-      let u =
-        match declared with
-        | Some u when not (equal u Any) -> u
-        | _ -> named name
-      in
-      (name, u))
-    fn.Facts.fn_uparams
+    (fun (name, declared) ->
+      match declared with
+      | Some u when not (equal u Any) -> (name, u)
+      | _ -> (name, named name))
+    (with_declared i.i_params fn.Facts.fn_uparams)
 
-let build_tables (facts_list : Facts.t list) =
+let build_tables graph (facts_list : Facts.t list) =
   let table : (string, info) Hashtbl.t = Hashtbl.create ~random:false 512 in
   let fields : (string, t) Hashtbl.t = Hashtbl.create ~random:false 128 in
   (* Field annotations from every file; a conflicting re-declaration of
@@ -606,32 +539,28 @@ let build_tables (facts_list : Facts.t list) =
               annot)
           f.Facts.val_units)
     facts_list;
+  (* The first binding of a key carries its annotation. *)
   List.iter
-    (fun (f : Facts.t) ->
-      if (not f.Facts.is_mli) && not f.Facts.parse_failed then
-        List.iter
-          (fun (fn : Facts.fn) ->
-            let key = fn_key f fn in
-            let annot =
-              match Hashtbl.find_opt mli_annot key with
-              | Some a -> Some a
-              | None -> fn.Facts.fn_unit_annot
-            in
-            let i =
-              match annot with
-              | Some a ->
-                  let s = parse_sig a in
-                  {
-                    i_params = s.sig_params;
-                    i_result = s.sig_result;
-                    i_annotated = true;
-                  }
-              | None ->
-                  { i_params = []; i_result = Any; i_annotated = false }
-            in
-            if not (Hashtbl.mem table key) then Hashtbl.replace table key i)
-          f.Facts.fns)
-    facts_list;
+    (fun ((n : Callgraph.node), (fn : Facts.fn)) ->
+      let annot =
+        match Hashtbl.find_opt mli_annot n.Callgraph.key with
+        | Some a -> Some a
+        | None -> fn.Facts.fn_unit_annot
+      in
+      let i =
+        match annot with
+        | Some a ->
+            let s = parse_sig a in
+            {
+              i_params = s.sig_params;
+              i_result = s.sig_result;
+              i_annotated = true;
+            }
+        | None -> { i_params = []; i_result = Any; i_annotated = false }
+      in
+      if not (Hashtbl.mem table n.Callgraph.key) then
+        Hashtbl.replace table n.Callgraph.key i)
+    (Callgraph.bindings graph);
   (* Annotated .mli vals with no scanned body (aliases, re-exports)
      still publish their declared signature. *)
   Hashtbl.iter
@@ -645,33 +574,25 @@ let build_tables (facts_list : Facts.t list) =
 
 let rounds = 5
 
-let run_inference env (facts_list : Facts.t list) =
-  let table, fields = build_tables facts_list in
+let run_inference graph (facts_list : Facts.t list) =
+  let table, fields = build_tables graph facts_list in
   let cx =
     {
-      cx_env = env;
+      cx_graph = graph;
       cx_table = table;
       cx_fields = fields;
       cx_emit = false;
       cx_diags = ref [];
       cx_facts = List.hd facts_list;
-      cx_self = "";
     }
   in
+  (* Every binding, shadowed ones included, in facts order. *)
   let each_fn f =
     List.iter
-      (fun (fa : Facts.t) ->
-        if (not fa.Facts.is_mli) && not fa.Facts.parse_failed then begin
-          cx.cx_facts <- fa;
-          cx.cx_self <- Facts.unit_key_of_rel fa.Facts.rel;
-          List.iter
-            (fun (fn : Facts.fn) ->
-              match Hashtbl.find_opt table (fn_key fa fn) with
-              | Some i -> f fa fn i
-              | None -> ())
-            fa.Facts.fns
-        end)
-      facts_list
+      (fun ((n : Callgraph.node), fn) ->
+        cx.cx_facts <- n.Callgraph.facts;
+        f n.Callgraph.key fn (Hashtbl.find table n.Callgraph.key))
+      (Callgraph.bindings graph)
   in
   for _ = 1 to rounds do
     each_fn (fun _ fn i ->
@@ -685,11 +606,6 @@ let run_inference env (facts_list : Facts.t list) =
 (* ------------------------------------------------------------------ *)
 
 type fn_class = Annotated | Inferred | Opaque_unit
-
-let class_name = function
-  | Annotated -> "annotated"
-  | Inferred -> "inferred"
-  | Opaque_unit -> "opaque"
 
 type coverage = {
   cov_key : string;
@@ -705,17 +621,17 @@ type analysis = {
   u_fn_class : (string * fn_class) list;
 }
 
-let analyze env (facts_list : Facts.t list) =
+let analyze graph (facts_list : Facts.t list) =
   match facts_list with
   | [] -> { u_diags = []; u_coverage = []; u_fn_class = [] }
   | _ ->
-      let cx, each_fn = run_inference env facts_list in
+      let cx, each_fn = run_inference graph facts_list in
       (* Findings pass: re-evaluate every body once with the converged
          table, emitting diagnostics, and check declared-vs-inferred
          consistency for annotated functions. *)
       cx.cx_emit <- true;
       let classes = ref [] in
-      each_fn (fun fa fn i ->
+      each_fn (fun key fn i ->
           let inferred = eval cx (param_scope fn i) fn.Facts.fn_ubody in
           if i.i_annotated then
             check_assign cx ~line:fn.Facts.fn_line
@@ -728,7 +644,7 @@ let analyze env (facts_list : Facts.t list) =
             else
               match i.i_result with Opaque -> Opaque_unit | _ -> Inferred
           in
-          classes := (fn_key fa fn, cls) :: !classes);
+          classes := (key, cls) :: !classes);
       let class_of = Hashtbl.create ~random:false 512 in
       List.iter (fun (k, c) -> Hashtbl.replace class_of k c) !classes;
       (* Coverage over the public .mli values of lib/ modules. *)
@@ -737,7 +653,7 @@ let analyze env (facts_list : Facts.t list) =
           (fun (f : Facts.t) ->
             if
               f.Facts.is_mli
-              && in_lib f.Facts.rel
+              && Mppm_lint.Rules.in_lib f.Facts.rel
               && not f.Facts.parse_failed
             then begin
               let key = Facts.unit_key_of_rel f.Facts.rel in
@@ -773,4 +689,3 @@ let analyze env (facts_list : Facts.t list) =
         u_fn_class = List.sort compare !classes;
       }
 
-let check env facts_list = (analyze env facts_list).u_diags

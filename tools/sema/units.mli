@@ -6,9 +6,11 @@
     composes them through arithmetic via a unit semilattice — additive
     ops, comparisons and [min]/[max] require equal dimensions, [*]/[/]
     compose and cancel them ([cycles/insns] is CPI) — and propagates
-    transitively across modules by a fixed-round chaotic iteration over
-    the {!Facts.uexpr} bodies, exactly like {!Hotpath} propagates
-    hotness.
+    across modules over the shared {!Callgraph}: five fixed rounds
+    re-infer every unannotated function's result unit from its
+    {!Facts.uexpr} body, then one more pass over the final results
+    emits the findings.  (Unlike {!Hotpath}'s single breadth-first
+    search, this is a bounded chaotic iteration, not a fixpoint.)
 
     Three rules, errors in [lib/]: {b U1} mixed-unit arithmetic or
     comparison; {b U2} cumulative/per-interval confusion — a
@@ -64,36 +66,11 @@ val parse : string -> t
 val to_string : t -> string
 (** Canonical rendering; [parse (to_string u)] round-trips. *)
 
-type usig = {
-  sig_params : (string option * t) list;
-      (** parameter units in declaration order, with optional labels
-          (["~seed:"] annotates as ["seed:dimensionless"]) *)
-  sig_result : t;
-}
-(** A parsed annotation: either a plain value unit ([sig_params = []])
-    or an arrow ["cycles -> insns -> cycles/insns"]. *)
-
-val parse_sig : string -> usig
-(** Split an annotation on ["->"]; the last component is the result. *)
-
-val fallback_of_name : string -> t option
-(** The naming-convention fallback: matches the whole lowercased name,
-    then its last ['_']-separated segment, then its first, against the
-    conventional vocabulary ([cpi], [ipc], [mpki], [cycles], [insns],
-    [misses]/[hits]/[accesses], [slowdown]/[stp]/[antt]/..., plural
-    [intervals]/[ways]/[bytes]/[programs]); a ["cum_"]/["cumulative_"]
-    prefix sets the cumulative flavor.  [None] for everything else —
-    deliberately including [penalty], [latency] and singular
-    [interval]. *)
-
 type fn_class =
   | Annotated  (** carries a [(* mppm: unit ... *)] annotation *)
   | Inferred  (** no annotation, but inference reached a usable unit *)
   | Opaque_unit  (** inference bottomed out at {!Opaque} *)
 (** Coverage classification of one function or exported value. *)
-
-val class_name : fn_class -> string
-(** ["annotated"], ["inferred"] or ["opaque"]. *)
 
 type coverage = {
   cov_key : string;  (** compilation-unit key, e.g. ["lib/core/model"] *)
@@ -117,9 +94,6 @@ type analysis = {
 }
 (** The full outcome of the unit pass. *)
 
-val analyze : Resolve.env -> Facts.t list -> analysis
-(** Run annotation seeding, the cross-module inference fixpoint and the
+val analyze : Callgraph.t -> Facts.t list -> analysis
+(** Run annotation seeding, the cross-module inference rounds and the
     finding pass. *)
-
-val check : Resolve.env -> Facts.t list -> Mppm_lint.Diag.t list
-(** Just the findings of {!analyze}. *)
