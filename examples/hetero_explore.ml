@@ -32,7 +32,9 @@ let on_little_core ~slowdown (p : Profile.t) =
         })
       p.Profile.intervals
   in
-  { p with Profile.intervals }
+  Profile.make ~benchmark:p.Profile.benchmark
+    ~interval_instructions:p.Profile.interval_instructions
+    ~llc_assoc:p.Profile.llc_assoc intervals
 
 let mix_names = [| "gamess"; "mcf"; "hmmer"; "libquantum" |]
 let little_slowdown = 2.0

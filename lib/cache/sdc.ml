@@ -10,7 +10,6 @@ let mass_close a b =
 
 let create ~assoc =
   if assoc <= 0 then invalid_arg "Sdc.create: assoc must be positive";
-  (* lint: allow P1 per-window SDC; the flat-profile rewrite (ROADMAP item 2) reuses scratch *)
   { assoc; counters = Array.make (assoc + 1) 0.0 }
 
 let assoc t = t.assoc
@@ -25,7 +24,34 @@ let counter t i =
   if i < 1 || i > t.assoc + 1 then invalid_arg "Sdc.counter: index out of range";
   t.counters.(i - 1)
 
-let accesses t = Array.fold_left ( +. ) 0.0 t.counters
+let well_formed t =
+  let ok = ref true in
+  for i = 0 to t.assoc do
+    let c = t.counters.(i) in
+    if not (c >= 0.0 && c < Float.infinity) then ok := false
+  done;
+  !ok
+
+let clear t = Array.fill t.counters 0 (t.assoc + 1) 0.0
+
+(* The sum accumulates in the destination cell, C_1 first, as
+   [Array.fold_left ( +. ) 0.0] does; a float cell is unboxed, so
+   neither the running total nor the result is boxed. *)
+(* mppm: unit _ -> accesses -> _ -> _ *)
+let accesses_into t dst i =
+  dst.(i) <- 0.0;
+  for j = 0 to t.assoc do
+    dst.(i) <- dst.(i) +. t.counters.(j)
+  done
+
+let accesses t =
+  let cell = Array.make 1 0.0 in
+  accesses_into t cell 0;
+  cell.(0)
+
+(* mppm: unit _ -> accesses -> _ -> _ *)
+let misses_into t dst i = dst.(i) <- t.counters.(t.assoc)
+
 let misses t = t.counters.(t.assoc)
 let hits t = accesses t -. misses t
 
@@ -59,9 +85,23 @@ let add_into ~dst src =
   if Invariant.enabled () then
     Invariant.check "sdc.add_mass" (mass_close (accesses dst) before)
 
+(* mppm: hot — per-interval window accumulation *)
+let add_scaled_into ~dst src ks i =
+  if not (Int.equal dst.assoc src.assoc) then
+    invalid_arg "Sdc.add_scaled_into: associativity mismatch";
+  if ks.(i) < 0.0 then invalid_arg "Sdc.add_scaled_into: negative factor";
+  let before =
+    if Invariant.enabled () then accesses dst +. (accesses src *. ks.(i))
+    else 0.0
+  in
+  for j = 0 to dst.assoc do
+    dst.counters.(j) <- dst.counters.(j) +. (src.counters.(j) *. ks.(i))
+  done;
+  if Invariant.enabled () then
+    Invariant.check "sdc.add_mass" (mass_close (accesses dst) before)
+
 let scale t k =
   if k < 0.0 then invalid_arg "Sdc.scale: negative factor";
-  (* lint: allow P1 per-window rescale; the flat-profile rewrite (ROADMAP item 2) scales in place *)
   let scaled = { assoc = t.assoc; counters = Array.map (fun v -> v *. k) t.counters } in
   if Invariant.enabled () then
     Invariant.check "sdc.scale_mass"
@@ -87,39 +127,40 @@ let reduce_associativity t ~assoc:new_assoc =
           new_assoc (accesses t) (accesses reduced));
   reduced
 
-(* misses(k) for integer k ways = sum of counters deeper than k.  A
-   toplevel tail recursion with an unboxed accumulator: no closure, no
-   float ref on the per-quantum projection path. *)
-(* mppm: unit _ -> ways -> ways -> accesses -> accesses *)
-let rec sum_deeper counters last i acc =
-  if i > last then acc else sum_deeper counters last (i + 1) (acc +. counters.(i))
+type probe = {
+  mutable ways : float;  (* mppm: unit ways *)
+  mutable misses : float;  (* mppm: unit accesses *)
+  mutable deeper : float;  (* mppm: unit accesses *)
+}
 
+let probe () = { ways = 0.0; misses = 0.0; deeper = 0.0 }
+
+(* misses(k) for integer k ways is the sum of the counters deeper than k.
+   The two sums that bracket [ways] run side by side, each from 0 and in
+   counter order, in the probe's cells: a flat float record, so no
+   running total is boxed. *)
 (* mppm: hot — per-quantum miss projection *)
-let misses_with_ways t ~ways =
-  if ways < 0.0 then invalid_arg "Sdc.misses_with_ways: negative ways";
-  if ways >= float_of_int t.assoc then misses t
-  else
-    let k = int_of_float (floor ways) in
-    let frac = ways -. float_of_int k in
-    let lo = sum_deeper t.counters t.assoc k 0.0
-    and hi = sum_deeper t.counters t.assoc (k + 1) 0.0 in
+let misses_with_ways_into t p =
+  if p.ways < 0.0 then invalid_arg "Sdc.misses_with_ways: negative ways";
+  if p.ways >= float_of_int t.assoc then p.misses <- t.counters.(t.assoc)
+  else begin
+    let k = int_of_float (floor p.ways) in
+    p.misses <- 0.0;
+    p.deeper <- 0.0;
+    for j = k to t.assoc do
+      p.misses <- p.misses +. t.counters.(j);
+      if j > k then p.deeper <- p.deeper +. t.counters.(j)
+    done;
+    let frac = p.ways -. float_of_int k in
     (* lint: allow U1 the interpolation weight [ways -. floor ways] is a dimensionless fraction of one way *)
-    lo +. (frac *. (hi -. lo))
+    p.misses <- p.misses +. (frac *. (p.deeper -. p.misses))
+  end
 
-(* Prefix sums over an interval sequence's access masses: groundwork for
-   the O(1) window queries of the flat-profile rewrite (ROADMAP item 2).
-   Element 0 is 0 and element i the running total after interval i, so a
-   window's mass is one subtraction of two cumulative readings. *)
-let prefix_counts sdcs =
-  let n = List.length sdcs in
-  let prefix = Array.make (n + 1) 0.0 in
-  List.iteri (fun i sdc -> prefix.(i + 1) <- prefix.(i) +. accesses sdc) sdcs;
-  prefix
-
-let window_accesses prefix ~first ~last =
-  if first < 0 || last < first || last >= Array.length prefix then
-    invalid_arg "Sdc.window_accesses: window out of range";
-  prefix.(last) -. prefix.(first)
+let misses_with_ways t ~ways =
+  let p = probe () in
+  p.ways <- ways;
+  misses_with_ways_into t p;
+  p.misses
 
 let to_list t = Array.to_list t.counters
 

@@ -24,14 +24,29 @@ val counter : t -> int -> float  (* mppm: unit _ -> ways -> accesses *)
 (** [counter t i] is C_i for [1 <= i <= assoc], and C_{>A} for
     [i = assoc + 1]. *)
 
+val well_formed : t -> bool
+(** Whether every counter is finite and non-negative. *)
+
+val clear : t -> unit
+(** [clear t] zeroes every counter, so a caller-owned buffer can be
+    refilled without allocating a fresh SDC. *)
+
 val accesses : t -> float  (* mppm: unit accesses *)
 (** Total accesses: sum of all counters. *)
+
+val accesses_into : t -> float array -> int -> unit  (* mppm: unit _ -> accesses -> _ -> _ *)
+(** [accesses_into t dst i] stores [accesses t] in [dst.(i)], summed in
+    the same order.  Hot callers use it instead of {!accesses}: a float
+    returned from a function is boxed, a float-array cell is not. *)
 
 val hits : t -> float  (* mppm: unit accesses *)
 (** Accesses with depth <= associativity. *)
 
 val misses : t -> float  (* mppm: unit accesses *)
 (** The C_{>A} counter. *)
+
+val misses_into : t -> float array -> int -> unit  (* mppm: unit _ -> accesses -> _ -> _ *)
+(** [misses_into t dst i] stores [misses t] in [dst.(i)]. *)
 
 val miss_rate : t -> float  (* mppm: unit 1 *)
 (** [misses / accesses]; 0 if there are no accesses. *)
@@ -46,6 +61,14 @@ val add : t -> t -> t  (* mppm: unit _ -> _ -> sdc *)
 
 val add_into : dst:t -> t -> unit
 (** In-place accumulate. *)
+
+val add_scaled_into : dst:t -> t -> float array -> int -> unit  (* mppm: unit _ -> _ -> 1 -> _ -> _ *)
+(** [add_scaled_into ~dst src ks i] adds [src] scaled by [ks.(i)] to
+    [dst], counter by counter: [dst_j + (src_j * ks.(i))], bit for bit
+    what [add_into ~dst (scale src ks.(i))] computes, without the scaled
+    copy.  The factor is read from a float-array cell, so the call boxes
+    nothing.  Raises [Invalid_argument] on an associativity mismatch or a
+    negative factor. *)
 
 val scale : t -> float -> t  (* mppm: unit _ -> 1 -> sdc *)
 (** [scale t k] multiplies every counter by [k]; used to take a fractional
@@ -65,21 +88,20 @@ val misses_with_ways : t -> ways:float -> float  (* mppm: unit _ -> ways:ways ->
     [ways >= assoc t] gives [misses t]; [ways = 0.] means every access
     misses.  This is the FOA contention model's core query. *)
 
-val prefix_counts : t list -> float array  (* mppm: unit _ -> cumulative accesses *)
-(** [prefix_counts sdcs] is the running access mass over an interval
-    sequence's SDCs: element [0] is [0.] and element [i] the total
-    accesses of the first [i] intervals.  A window's mass is then one
-    subtraction of two cumulative readings ({!window_accesses}) —
-    groundwork for the O(1) window queries of the flat-profile rewrite
-    (ROADMAP item 2). *)
+(** The cells of one {!misses_with_ways_into} query: a flat float
+    record, so neither the argument nor the result is boxed. *)
+type probe = {
+  mutable ways : float;  (** the query: the share of ways *)  (* mppm: unit ways *)
+  mutable misses : float;  (** the answer *)  (* mppm: unit accesses *)
+  mutable deeper : float;  (** working cell *)  (* mppm: unit accesses *)
+}
 
-val window_accesses :  (* mppm: unit cumulative accesses -> first:intervals -> last:intervals -> accesses *)
-  float array -> first:int -> last:int -> float
-(** [window_accesses prefix ~first ~last] is the access mass of intervals
-    [first], ..., [last - 1]: [prefix.(last) -. prefix.(first)].
-    Subtracting the two cumulative readings discharges to a per-window
-    quantity.  Raises [Invalid_argument] unless
-    [0 <= first <= last < length prefix]. *)
+val probe : unit -> probe
+(** A zeroed probe. *)
+
+val misses_with_ways_into : t -> probe -> unit
+(** [misses_with_ways_into t p] sets [p.misses] to
+    [misses_with_ways t ~ways:p.ways], computed the same way. *)
 
 val to_list : t -> float list
 (** Counters in order C_1, ..., C_A, C_{>A}. *)

@@ -31,7 +31,7 @@ type model =
 val default : model
 (** {!Foa}, as in the paper. *)
 
-type prediction = {
+type prediction = private {
   isolated_misses : float array;  (** each program's own-SDC misses *)  (* mppm: unit accesses *)
   shared_misses : float array;  (** predicted misses under sharing *)  (* mppm: unit accesses *)
   extra_misses : float array;  (* mppm: unit accesses *)
@@ -39,12 +39,25 @@ type prediction = {
   effective_ways : float array;  (* mppm: unit ways *)
       (** the per-program cache share the model settled on (ways); for
           {!Prob} this is the undilated-equivalent ways *)
+  total : float array;  (** one working cell for running totals *)
+  probe : Mppm_cache.Sdc.probe;  (** working cells for SDC queries *)
 }
+(** The four result vectors, one cell per program, plus the working
+    cells the models compute in, so that a prediction can be made
+    without allocating. *)
+
+val prediction : int -> prediction  (* mppm: unit _ -> prediction *)
+(** [prediction n] is zeroed storage for a mix of [n] programs. *)
+
+val predict_into : model -> Mppm_cache.Sdc.t array -> prediction -> unit  (* mppm: unit _ *)
+(** [predict_into model sdcs out] overwrites [out] with the prediction for
+    the co-scheduled programs' epoch SDCs.  All SDCs must share the same
+    associativity and [out] must be sized for [Array.length sdcs]
+    programs.  A single program, or an epoch with no accesses, yields
+    zero extra misses.  {!Foa} allocates nothing. *)
 
 val predict : model -> Mppm_cache.Sdc.t array -> prediction  (* mppm: unit _ -> _ -> prediction *)
-(** [predict model sdcs] runs the model over the co-scheduled programs'
-    epoch SDCs.  All SDCs must share the same associativity.  A single
-    program, or an epoch with no accesses, yields zero extra misses. *)
+(** [predict model sdcs] is {!predict_into} on fresh storage. *)
 
 val model_name : model -> string
 (** Short display name ("FOA", "SDC-competition", ...). *)

@@ -53,14 +53,6 @@ type iteration_record = {
   slowdown_estimate : float array;
 }
 
-(* Mutable per-program model state. *)
-type state = {
-  input : program_input;
-  trace_length : float;
-  mutable r : float;  (* slowdown R_p *)
-  mutable ip : float;  (* instruction pointer I_p *)
-}
-
 let validate params inputs =
   if params.iteration_instructions <= 0 then
     invalid_arg "Model.predict: iteration_instructions <= 0";
@@ -78,46 +70,89 @@ let validate params inputs =
     (fun i ->
       if i.profile.Profile.llc_assoc <> assoc then
         invalid_arg "Model.predict: profiles at different LLC associativities")
-    inputs
+    inputs;
+  assoc
 
-(* Average LLC miss penalty over a window: cycles lost to LLC misses per
-   miss.  Falls back to the whole-trace average when the window has no
-   misses (the division in Fig. 2 needs a denominator). *)
-(* mppm: unit _ -> _ -> cycles/accesses *)
-let miss_penalty profile (w : Profile.window) =
-  if w.Profile.w_llc_misses > 0.0 then
-    w.Profile.w_memory_stall_cycles /. w.Profile.w_llc_misses
-  else
-    let total_misses =
-      Array.fold_left
-        (fun acc iv -> acc +. iv.Profile.llc_misses)
-        0.0 profile.Profile.intervals
+(* Whether every program [0 .. i] has reached its stop point. *)
+(* mppm: unit _ *)
+let rec all_stopped (ip : float array) (stop_at : float array) i =
+  i < 0 || (ip.(i) >= stop_at.(i) && all_stopped ip stop_at (i - 1))
+
+(* The first program with the largest projected time over its next L
+   instructions, CPI_SC,p(window) * R_p * L, scanning [i .. n-1]; the
+   largest so far is in [budget.(0)] (the epoch budget C once the scan
+   ends).  The same value as a [Float.max] fold from 0, and it also
+   names the program that set it. *)
+(* mppm: unit _ *)
+let rec slowest_program cpi_l r l budget i best =
+  if i >= Array.length r then best
+  else if cpi_l.(i) *. r.(i) *. l.(i) > budget.(0) then begin
+    budget.(0) <- cpi_l.(i) *. r.(i) *. l.(i);
+    slowest_program cpi_l r l budget (i + 1) i
+  end
+  else slowest_program cpi_l r l budget (i + 1) best
+
+(* Bandwidth extension, step 4b: the M/D/1 wait at channel utilization
+   [rho] (capped at 0.98). *)
+let queue_wait b rho =
+  let rho = Float.min rho 0.98 in
+  b.transfer_cycles *. rho /. (2.0 *. (1.0 -. rho))
+
+(* Each program's extra queueing cycles in [queue]: the wait at the mix's
+   channel utilization, minus the program's own-alone wait, for its
+   share of the exposed delay. *)
+let fill_queueing b windows (contention : Contention.prediction) epoch_cycles
+    queue =
+  let shared = contention.Contention.shared_misses in
+  (* [queue.(0)] holds the running total until the loop below overwrites
+     it, so the sum is boxed nowhere. *)
+  queue.(0) <- 0.0;
+  for i = 0 to Array.length shared - 1 do
+    queue.(0) <- queue.(0) +. shared.(i)
+  done;
+  let rho_mix = queue.(0) *. b.transfer_cycles /. epoch_cycles.(0) in
+  for i = 0 to Array.length shared - 1 do
+    let w = windows.(i).Profile.sums in
+    let alone_cycles =
+      Float.max 1.0
+        (w.Profile.s_cycles /. w.Profile.s_instructions
+        *. w.Profile.s_instructions)
     in
-    if total_misses > 0.0 then
-      Array.fold_left
-        (fun acc iv -> acc +. iv.Profile.memory_stall_cycles)
-        0.0 profile.Profile.intervals
-      /. total_misses
-    else 0.0
+    let rho_alone = w.Profile.s_llc_misses *. b.transfer_cycles /. alone_cycles in
+    let delta =
+      Float.max 0.0 (queue_wait b rho_mix -. queue_wait b rho_alone)
+    in
+    queue.(i) <- b.exposed_fraction *. delta *. shared.(i)
+  done
 
 (* mppm: unit result *)
-(* mppm: hot — the per-quantum convergence loop, ROADMAP item 2 *)
+(* mppm: hot — the per-quantum convergence loop *)
 let run ?(obs = Trace.null) params inputs ~record =
-  validate params inputs;
-  let states =
+  let assoc = validate params inputs in
+  let n = Array.length inputs in
+  let profiles = Array.map (fun input -> input.profile) inputs in
+  (* Model state, one cell per program in parallel float arrays that live
+     for the whole run: every epoch reads and writes them in place. *)
+  let r = Array.make n 1.0 (* slowdown R_p *)
+  and ip = Array.make n 0.0 (* instruction pointer I_p *)
+  and cpi_l = Array.make n 0.0 (* CPI over the next L instructions *)
+  and progress = Array.make n 0.0 (* N_p *)
+  and penalty = Array.make n 0.0 (* cycles per LLC miss in the window *)
+  and queue = Array.make n 0.0 (* bandwidth queueing cycles *) in
+  let stop_at =
     Array.map
-      (fun input ->
-        {
-          input;
-          trace_length =
-            float_of_int (Profile.total_instructions input.profile);
-          r = 1.0;
-          ip = 0.0;
-        })
-      inputs
+      (fun p ->
+        params.stop_trace_multiplier
+        *. float_of_int (Profile.total_instructions p))
+      profiles
   in
-  let n = Array.length states in
-  let l = float_of_int params.iteration_instructions in
+  (* L for every program: the count cells of the step-1 windows. *)
+  let l = Array.make n (float_of_int params.iteration_instructions) in
+  let windows = Array.map (fun _ -> Profile.scratch ~assoc) inputs in
+  let sdcs = Array.map (fun w -> w.Profile.window_sdc) windows in
+  let contention = Contention.prediction n in
+  (* The epoch budget C, in a cell: a float-array cell is unboxed. *)
+  let budget = [| 0.0 |] in
   let history = ref [] in
   let iterations = ref 0 in
   (* Virtual clock for trace timestamps: cumulative epoch cycles.  Only
@@ -128,7 +163,6 @@ let run ?(obs = Trace.null) params inputs ~record =
   let observing = Trace.enabled obs in
   (* Per-epoch scratch only the trace needs; left empty when no sink is
      attached so the untraced hot loop allocates nothing extra. *)
-  let obs_penalty = if observing then Array.make n 0.0 else [||] in
   let obs_miss_cycles = if observing then Array.make n 0.0 else [||] in
   let obs_r_before = if observing then Array.make n 0.0 else [||] in
   Trace.emit obs (fun () ->
@@ -137,125 +171,79 @@ let run ?(obs = Trace.null) params inputs ~record =
           ("programs",
            Event.List
              (Array.to_list
-                (Array.map (fun st -> Event.String st.input.label) states)));
+                (Array.map (fun input -> Event.String input.label) inputs)));
           ("iteration_instructions", Event.Int params.iteration_instructions);
           ("smoothing", Event.Float params.smoothing);
           ("stop_trace_multiplier", Event.Float params.stop_trace_multiplier);
           ("contention", Event.String (Contention.model_name params.contention));
         ]);
-  (* The stop predicate is hoisted out of [stop_reached] so the per-epoch
-     test allocates no closure: it is built once, before the loop. *)
-  let stop_pred st = st.ip >= params.stop_trace_multiplier *. st.trace_length in
-  let stop_reached () = Array.for_all stop_pred states in
-  (* Argmax scratch, likewise hoisted so each epoch reuses the two cells. *)
-  let slowest = ref 0 in
-  let best = ref 0.0 in
-  while not (stop_reached ()) do
+  while not (all_stopped ip stop_at (n - 1)) do
     incr iterations;
-    (* Step 1: find the epoch budget C set by the slowest program. *)
-    let window_l =
-      Array.map (* lint: allow P1 per-epoch window vector; reused scratch in the ROADMAP-2 rewrite *)
-        (fun st -> Profile.window st.input.profile ~start:st.ip ~count:l)
-        states
-    in
-    (* Same value as a Float.max fold; additionally remembers which
-       program set the budget (the first argmax). *)
-    slowest := 0;
-    best := 0.0;
+    (* Step 1: find the epoch budget C set by the slowest program; only
+       the window CPI is needed, so only cycles and instructions are
+       summed. *)
     for i = 0 to n - 1 do
-      let projected = Profile.window_cpi window_l.(i) *. states.(i).r *. l in
-      if projected > !best then begin
-        best := projected;
-        slowest := i
-      end
+      Profile.window_cycles_into profiles.(i) windows.(i) ~starts:ip ~counts:l i;
+      let w = windows.(i).Profile.sums in
+      cpi_l.(i) <- w.Profile.s_cycles /. w.Profile.s_instructions
     done;
-    let epoch_cycles = !best in
+    budget.(0) <- 0.0;
+    let slowest = slowest_program cpi_l r l budget 0 0 in
     (* Step 2: per-program progress within C cycles. *)
-    let progress =
-      Array.mapi (* lint: allow P1 per-epoch progress vector; ROADMAP item 2 *)
-        (fun i st ->
-          let cpi = Profile.window_cpi window_l.(i) in
-          epoch_cycles /. (cpi *. st.r))
-        states
-    in
-    (* Step 3: window statistics over each program's actual progress. *)
-    let windows =
-      Array.mapi (* lint: allow P1 per-epoch window vector; ROADMAP item 2 *)
-        (fun i st ->
-          Profile.window st.input.profile ~start:st.ip ~count:progress.(i))
-        states
-    in
+    for i = 0 to n - 1 do
+      progress.(i) <- budget.(0) /. (cpi_l.(i) *. r.(i))
+    done;
+    (* Step 3: window statistics over each program's actual progress, and
+       the window's average LLC miss penalty: cycles lost to LLC misses
+       per miss, or the whole-trace average when the window has no
+       misses (the division in Fig. 2 needs a denominator). *)
+    for i = 0 to n - 1 do
+      Profile.window_into profiles.(i) windows.(i) ~starts:ip ~counts:progress i;
+      let w = windows.(i).Profile.sums in
+      penalty.(i) <-
+        (if w.Profile.s_llc_misses > 0.0 then
+           w.Profile.s_memory_stall_cycles /. w.Profile.s_llc_misses
+         else profiles.(i).Profile.whole_miss_penalty)
+    done;
     (* Step 4: contention model on the epoch SDCs. *)
-    (* lint: allow P1 per-epoch SDC vector; ROADMAP item 2 *)
-    let sdcs = Array.map (fun w -> w.Profile.w_sdc) windows in
-    let contention = Contention.predict params.contention sdcs in
-    (* Step 4b (extension): bandwidth queueing.  The M/D/1 wait at the
-       mix's channel utilization, minus the program's own-alone wait. *)
-    let queueing_extra =
-      match params.bandwidth with
-      | None -> fun _ -> 0.0
-      | Some b ->
-          (* lint: allow P1 bandwidth-extension closures; built only when a channel model is configured *)
-          let wait rho =
-            let rho = Float.min rho 0.98 in
-            b.transfer_cycles *. rho /. (2.0 *. (1.0 -. rho))
-          in
-          let total_shared =
-            Array.fold_left ( +. ) 0.0 contention.Contention.shared_misses
-          in
-          let rho_mix = total_shared *. b.transfer_cycles /. epoch_cycles in
-          (* lint: allow P1 bandwidth-extension closure; see above *)
-          fun i ->
-            let w = windows.(i) in
-            let alone_cycles =
-              Float.max 1.0 (Profile.window_cpi w *. w.Profile.w_instructions)
-            in
-            let rho_alone =
-              w.Profile.w_llc_misses *. b.transfer_cycles /. alone_cycles
-            in
-            let delta = Float.max 0.0 (wait rho_mix -. wait rho_alone) in
-            b.exposed_fraction *. delta
-            *. contention.Contention.shared_misses.(i)
-    in
+    Contention.predict_into params.contention sdcs contention;
+    (* Step 4b (extension): bandwidth queueing. *)
+    (match params.bandwidth with
+    | None -> ()
+    | Some b -> fill_queueing b windows contention budget queue);
     (* Step 5: price the conflict misses and update the slowdowns. *)
-    if observing then
-      Array.iteri (fun i st -> obs_r_before.(i) <- st.r) states;
-    Array.iteri (* lint: allow P1 per-epoch update closure; the flat-state rewrite (ROADMAP item 2) turns this into a loop over parallel arrays *)
-      (fun i st ->
-        let penalty = miss_penalty st.input.profile windows.(i) in
-        let miss_cycles =
-          (contention.Contention.extra_misses.(i) *. penalty)
-          +. queueing_extra i
-        in
-        if observing then begin
-          obs_penalty.(i) <- penalty;
-          obs_miss_cycles.(i) <- miss_cycles
-        end;
-        let current =
-          match params.update_rule with
-          | Paper_literal -> 1.0 +. (miss_cycles /. epoch_cycles)
-          | Consistent -> 1.0 +. (miss_cycles *. st.r /. epoch_cycles)
-        in
-        let previous = st.r in
-        st.r <-
-          (params.smoothing *. st.r) +. ((1.0 -. params.smoothing) *. current);
-        if Invariant.enabled () then begin
-          Invariant.checkf "model.slowdown_ge_1" (st.r >= 1.0) (fun () ->
-              Printf.sprintf "%s: R_p = %g < 1" st.input.label st.r);
-          Invariant.check "model.slowdown_finite" (Float.is_finite st.r);
-          (* The EMA is a convex combination of the previous estimate and
-             the current target, so it must stay between them. *)
-          let lo = Float.min previous current
-          and hi = Float.max previous current in
-          let eps = 1e-12 *. Float.max 1.0 hi in
-          Invariant.checkf "model.ema_bounded"
-            (st.r >= lo -. eps && st.r <= hi +. eps)
-            (fun () ->
-              Printf.sprintf "%s: R_p = %g outside [%g, %g]" st.input.label
-                st.r lo hi)
-        end;
-        st.ip <- st.ip +. progress.(i))
-      states;
+    if observing then Array.blit r 0 obs_r_before 0 n;
+    for i = 0 to n - 1 do
+      let miss_cycles =
+        (contention.Contention.extra_misses.(i) *. penalty.(i)) +. queue.(i)
+      in
+      if observing then obs_miss_cycles.(i) <- miss_cycles;
+      let current =
+        match params.update_rule with
+        | Paper_literal -> 1.0 +. (miss_cycles /. budget.(0))
+        | Consistent -> 1.0 +. (miss_cycles *. r.(i) /. budget.(0))
+      in
+      let previous = r.(i) in
+      r.(i) <-
+        (params.smoothing *. r.(i)) +. ((1.0 -. params.smoothing) *. current);
+      if Invariant.enabled () then begin
+        let label = inputs.(i).label and r_i = r.(i) in
+        Invariant.checkf "model.slowdown_ge_1" (r_i >= 1.0) (fun () ->
+            Printf.sprintf "%s: R_p = %g < 1" label r_i);
+        Invariant.check "model.slowdown_finite" (Float.is_finite r_i);
+        (* The EMA is a convex combination of the previous estimate and
+           the current target, so it must stay between them. *)
+        let lo = Float.min previous current
+        and hi = Float.max previous current in
+        let eps = 1e-12 *. Float.max 1.0 hi in
+        Invariant.checkf "model.ema_bounded"
+          (r_i >= lo -. eps && r_i <= hi +. eps)
+          (fun () ->
+            Printf.sprintf "%s: R_p = %g outside [%g, %g]" label r_i lo hi)
+      end;
+      ip.(i) <- ip.(i) +. progress.(i)
+    done;
+    let epoch_cycles = budget.(0) in
     if Invariant.enabled () then
       Invariant.check "model.epoch_positive"
         (Float.is_finite epoch_cycles && epoch_cycles > 0.0);
@@ -267,25 +255,25 @@ let run ?(obs = Trace.null) params inputs ~record =
           Event.make ~name:"model.quantum" ~time ~dur:epoch_cycles
             [
               ("iter", Event.Int iter);
-              ("slowest", Event.Int !slowest);
+              ("slowest", Event.Int slowest);
               ("budget_cycles", Event.Float epoch_cycles);
               ("progress", floats progress);
               ("sdc_mass",
                floats (Array.map Mppm_cache.Sdc.accesses sdcs));
               ("extra_misses",
                floats contention.Contention.extra_misses);
-              ("miss_penalty", floats obs_penalty);
+              ("miss_penalty", floats penalty);
               ("penalty_cycles", floats obs_miss_cycles);
               ("r_before", floats obs_r_before);
-              ("r_after", floats (Array.map (fun st -> st.r) states));
+              ("r_after", floats r);
             ]);
       let max_delta = ref 0.0 and r_sum = ref 0.0 in
       Array.iteri
-        (fun i st ->
-          let d = Float.abs (st.r -. obs_r_before.(i)) in
+        (fun i r_i ->
+          let d = Float.abs (r_i -. obs_r_before.(i)) in
           if d > !max_delta then max_delta := d;
-          r_sum := !r_sum +. st.r)
-        states;
+          r_sum := !r_sum +. r_i)
+        r;
       let max_delta = !max_delta and mean_r = !r_sum /. float_of_int n in
       Trace.emit obs (fun () ->
           Event.make ~name:"model.convergence" ~time:(time +. epoch_cycles)
@@ -301,24 +289,24 @@ let run ?(obs = Trace.null) params inputs ~record =
       history :=
         {
           epoch_cycles;
-          progress;
+          progress = Array.copy progress;
           extra_misses = Array.copy contention.Contention.extra_misses;
-          slowdown_estimate = Array.map (fun st -> st.r) states;
+          slowdown_estimate = Array.copy r;
         }
         :: !history
   done;
   let programs =
-    Array.map
-      (fun st ->
-        let cpi_single = Profile.cpi st.input.profile in
+    Array.mapi
+      (fun i input ->
+        let cpi_single = Profile.cpi input.profile in
         {
-          name = st.input.label;
-          slowdown = st.r;
+          name = input.label;
+          slowdown = r.(i);
           cpi_single;
-          cpi_multi = cpi_single *. st.r;
-          instructions_modelled = st.ip;
+          cpi_multi = cpi_single *. r.(i);
+          instructions_modelled = ip.(i);
         })
-      states
+      inputs
   in
   let slowdowns = Array.map (fun p -> p.slowdown) programs in
   let result =

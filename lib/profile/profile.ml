@@ -14,28 +14,64 @@ type t = {
   interval_instructions : int;
   llc_assoc : int;
   intervals : interval array;
+  starts : int array;
+  whole_cpi : float;
+  whole_miss_penalty : float;
 }
 
+let check_interval llc_assoc iv =
+  let non_negative x = x >= 0.0 && x < Float.infinity (* false for NaN *) in
+  if iv.instructions <= 0 then
+    invalid_arg "Profile.make: interval with non-positive instructions";
+  if not (iv.cycles > 0.0 && iv.cycles < Float.infinity) then
+    invalid_arg "Profile.make: interval with non-positive or non-finite cycles";
+  if
+    not
+      (non_negative iv.memory_stall_cycles
+      && non_negative iv.llc_accesses && non_negative iv.llc_misses)
+  then
+    invalid_arg
+      "Profile.make: interval with a negative or non-finite stall, access or \
+       miss count";
+  if Sdc.assoc iv.sdc <> llc_assoc then
+    invalid_arg "Profile.make: SDC associativity mismatch";
+  if not (Sdc.well_formed iv.sdc) then
+    invalid_arg "Profile.make: negative or non-finite SDC counter"
+
+(* The derived fields are computed here, once, and [t] is private, so
+   they cannot go stale.  The sums run left to right from 0, as every
+   whole-trace query always has. *)
 let make ~benchmark ~interval_instructions ~llc_assoc intervals =
   if interval_instructions <= 0 then
     invalid_arg "Profile.make: non-positive interval length";
   if Array.length intervals = 0 then invalid_arg "Profile.make: no intervals";
-  Array.iter
-    (fun iv ->
-      if iv.instructions <= 0 then
-        invalid_arg "Profile.make: interval with non-positive instructions";
-      if Sdc.assoc iv.sdc <> llc_assoc then
-        invalid_arg "Profile.make: SDC associativity mismatch")
+  Array.iter (check_interval llc_assoc) intervals;
+  let n = Array.length intervals in
+  let starts = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun i iv -> starts.(i + 1) <- starts.(i) + iv.instructions)
     intervals;
-  { benchmark; interval_instructions; llc_assoc; intervals }
+  let sum field = Array.fold_left (fun acc iv -> acc +. field iv) 0.0 intervals in
+  let total_misses = sum (fun iv -> iv.llc_misses) in
+  {
+    benchmark;
+    interval_instructions;
+    llc_assoc;
+    intervals;
+    starts;
+    whole_cpi = sum (fun iv -> iv.cycles) /. float_of_int starts.(n);
+    whole_miss_penalty =
+      (if total_misses > 0.0 then
+         sum (fun iv -> iv.memory_stall_cycles) /. total_misses
+       else 0.0);
+  }
 
-let total_instructions t =
-  Array.fold_left (fun acc iv -> acc + iv.instructions) 0 t.intervals
+let total_instructions t = t.starts.(Array.length t.intervals)
 
 let total_cycles t =
   Array.fold_left (fun acc iv -> acc +. iv.cycles) 0.0 t.intervals
 
-let cpi t = total_cycles t /. float_of_int (total_instructions t)
+let cpi t = t.whole_cpi
 
 let memory_cpi t =
   Array.fold_left (fun acc iv -> acc +. iv.memory_stall_cycles) 0.0 t.intervals
@@ -48,6 +84,118 @@ let llc_mpki t =
   *. 1000.0
   /. float_of_int (total_instructions t)
 
+(* ---- instruction windows -------------------------------------------- *)
+
+type sums = {
+  mutable s_instructions : float;
+  mutable s_cycles : float;
+  mutable s_memory_stall_cycles : float;
+  mutable s_llc_accesses : float;
+  mutable s_llc_misses : float;
+}
+
+type scratch = { sums : sums; window_sdc : Sdc.t; cursor : float array }
+
+let scratch ~assoc =
+  {
+    sums =
+      {
+        s_instructions = 0.0;
+        s_cycles = 0.0;
+        s_memory_stall_cycles = 0.0;
+        s_llc_accesses = 0.0;
+        s_llc_misses = 0.0;
+      };
+    window_sdc = Sdc.create ~assoc;
+    cursor = Array.make 2 0.0;
+  }
+
+(* The walk's two float cells: the instructions still to take, and the
+   interval currently being taken from (its available instructions, then
+   the fraction of it taken).  Cells of a float array are unboxed. *)
+let remaining = 0
+let current = 1
+
+(* The interval holding position [cursor.(current)]: the first whose end
+   lies beyond it, or the last one.  A binary search over the exact
+   integer interval ends, so it makes the comparisons a left-to-right
+   scan with a running float offset would make (offsets below 2^53 are
+   exact) and picks the same interval. *)
+(* mppm: unit _ *)
+let rec locate starts cursor lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if cursor.(current) < float_of_int starts.(mid + 1) then
+      locate starts cursor lo mid
+    else locate starts cursor (mid + 1) hi
+
+(* Takes [min available remaining] instructions from interval [idx],
+   with [available] in the [current] cell, adding that linear fraction of
+   the interval to the sums (cycles and instructions only unless
+   [full]). *)
+let take_from t sc ~full idx =
+  let cur = sc.cursor and s = sc.sums in
+  let iv = t.intervals.(idx) in
+  let len = float_of_int iv.instructions in
+  let take = Float.min cur.(current) cur.(remaining) in
+  cur.(current) <- take /. len;
+  if cur.(current) > 0.0 then begin
+    s.s_instructions <-
+      s.s_instructions +. (float_of_int iv.instructions *. cur.(current));
+    s.s_cycles <- s.s_cycles +. (iv.cycles *. cur.(current));
+    if full then begin
+      s.s_memory_stall_cycles <-
+        s.s_memory_stall_cycles +. (iv.memory_stall_cycles *. cur.(current));
+      s.s_llc_accesses <- s.s_llc_accesses +. (iv.llc_accesses *. cur.(current));
+      s.s_llc_misses <- s.s_llc_misses +. (iv.llc_misses *. cur.(current));
+      Sdc.add_scaled_into ~dst:sc.window_sdc iv.sdc cur current
+    end
+  end;
+  cur.(remaining) <- cur.(remaining) -. take
+
+(* Whole intervals from [idx] on, wrapping, until the window is
+   consumed. *)
+let rec walk t sc ~full idx =
+  if sc.cursor.(remaining) > 1e-9 then begin
+    sc.cursor.(current) <- float_of_int t.intervals.(idx).instructions;
+    take_from t sc ~full idx;
+    walk t sc ~full ((idx + 1) mod Array.length t.intervals)
+  end
+
+let fill t sc ~full ~starts ~counts i =
+  let start = starts.(i) and count = counts.(i) in
+  if count <= 0.0 then invalid_arg "Profile.window: non-positive count";
+  if start < 0.0 then invalid_arg "Profile.window: negative start";
+  if not (count < Float.infinity && start < Float.infinity) then
+    invalid_arg "Profile.window: non-finite window";
+  let s = sc.sums and cur = sc.cursor in
+  s.s_instructions <- 0.0;
+  s.s_cycles <- 0.0;
+  s.s_memory_stall_cycles <- 0.0;
+  s.s_llc_accesses <- 0.0;
+  s.s_llc_misses <- 0.0;
+  if full then Sdc.clear sc.window_sdc;
+  let n = Array.length t.intervals in
+  cur.(current) <- Float.rem start (float_of_int t.starts.(n));
+  let idx = locate t.starts cur 0 (n - 1) in
+  cur.(remaining) <- count;
+  (* The first interval is entered at an offset; every later one whole. *)
+  if cur.(remaining) > 1e-9 then begin
+    cur.(current) <-
+      float_of_int t.intervals.(idx).instructions
+      -. (cur.(current) -. float_of_int t.starts.(idx));
+    take_from t sc ~full idx;
+    walk t sc ~full ((idx + 1) mod n)
+  end
+
+(* mppm: hot — per-quantum window aggregation *)
+let window_into t sc ~starts ~counts i = fill t sc ~full:true ~starts ~counts i
+
+(* mppm: hot — per-quantum CPI projection *)
+let window_cycles_into t sc ~starts ~counts i =
+  fill t sc ~full:false ~starts ~counts i
+
 type window = {
   w_instructions : float;
   w_cycles : float;
@@ -58,61 +206,17 @@ type window = {
 }
 
 let window t ~start ~count =
-  if count <= 0.0 then invalid_arg "Profile.window: non-positive count";
-  if start < 0.0 then invalid_arg "Profile.window: negative start";
-  let trace_len = float_of_int (total_instructions t) in
-  let acc_sdc = Sdc.create ~assoc:t.llc_assoc in
-  (* lint: allow P1 window-walk accumulator; the flat-profile rewrite (ROADMAP item 2) keeps this in reusable scratch *)
-  let acc = ref { w_instructions = 0.0; w_cycles = 0.0;
-                  w_memory_stall_cycles = 0.0; w_llc_accesses = 0.0;
-                  w_llc_misses = 0.0; w_sdc = acc_sdc } in
-  let add_fraction iv frac = (* lint: allow P1 window-walk helper closure; ROADMAP item 2 *)
-    if frac > 0.0 then begin
-      let a = !acc in
-      Sdc.add_into ~dst:acc_sdc (Sdc.scale iv.sdc frac);
-      acc := (* lint: allow P1 P4 boxed window accumulator; ROADMAP item 2 *)
-        {
-          a with
-          w_instructions = a.w_instructions +. (float_of_int iv.instructions *. frac);
-          w_cycles = a.w_cycles +. (iv.cycles *. frac);
-          w_memory_stall_cycles =
-            a.w_memory_stall_cycles +. (iv.memory_stall_cycles *. frac);
-          w_llc_accesses = a.w_llc_accesses +. (iv.llc_accesses *. frac);
-          w_llc_misses = a.w_llc_misses +. (iv.llc_misses *. frac);
-        }
-    end
-  in
-  (* Walk intervals from the (wrapped) start position until [count]
-     instructions are consumed, taking linear fractions at the ends. *)
-  let pos = ref (Float.rem start trace_len) in (* lint: allow P1 window cursor refs; ROADMAP item 2 *)
-  let remaining = ref count in
-  (* Locate the interval containing !pos together with the offset into it. *)
-  let locate pos = (* lint: allow P1 window locate closures; ROADMAP item 2 *)
-    let rec go i off =
-      let len = float_of_int t.intervals.(i).instructions in
-      if pos < off +. len || Int.equal i (Array.length t.intervals - 1) then
-        (* lint: allow P1 interval/offset result pair; ROADMAP item 2 *)
-        (i, pos -. off)
-      else go (i + 1) (off +. len)
-    in
-    go 0 0.0
-  in
-  let idx, offset = locate !pos in
-  (* lint: allow P1 window cursor refs; ROADMAP item 2 *)
-  let idx = ref idx and offset = ref offset in
-  while !remaining > 1e-9 do
-    let iv = t.intervals.(!idx) in
-    let len = float_of_int iv.instructions in
-    let available = len -. !offset in
-    let take = Float.min available !remaining in
-    add_fraction iv (take /. len);
-    remaining := !remaining -. take; (* lint: allow P4 window cursor updates; ROADMAP item 2 *)
-    pos := !pos +. take;
-    offset := 0.0;
-    idx := (!idx + 1) mod Array.length t.intervals
-  done;
-  (* lint: allow P1 the returned window record; ROADMAP item 2 *)
-  { !acc with w_sdc = acc_sdc }
+  let sc = scratch ~assoc:t.llc_assoc in
+  window_into t sc ~starts:[| start |] ~counts:[| count |] 0;
+  let s = sc.sums in
+  {
+    w_instructions = s.s_instructions;
+    w_cycles = s.s_cycles;
+    w_memory_stall_cycles = s.s_memory_stall_cycles;
+    w_llc_accesses = s.s_llc_accesses;
+    w_llc_misses = s.s_llc_misses;
+    w_sdc = sc.window_sdc;
+  }
 
 let window_cpi w = w.w_cycles /. w.w_instructions
 let window_memory_cpi w = w.w_memory_stall_cycles /. w.w_instructions
@@ -127,7 +231,8 @@ let reduce_associativity t ~assoc =
         { iv with sdc; llc_misses = Sdc.misses sdc })
       t.intervals
   in
-  { t with llc_assoc = assoc; intervals }
+  make ~benchmark:t.benchmark ~interval_instructions:t.interval_instructions
+    ~llc_assoc:assoc intervals
 
 (* ---- text serialization ------------------------------------------- *)
 
@@ -200,9 +305,10 @@ let load path =
           (Printf.sprintf "Profile.load: %s:%d: %s %S is not %s" path !line_no
              what s expected)
       in
-      (* Every number goes through one of these two, so a NaN, infinity,
-         negative or zero count is a located [Failure] here rather than a
-         hang or an [Invalid_argument] downstream. *)
+      (* Every number goes through one of these three, so a NaN,
+         infinity, negative or zero count, or a zero cycle count, is a
+         located [Failure] here rather than a hang or an
+         [Invalid_argument] downstream. *)
       let positive_int what s =
         match int_of_string s with
         | v when v > 0 -> v
@@ -212,6 +318,11 @@ let load path =
         match float_of_string s with
         | v when v >= 0.0 && v < Float.infinity -> v (* false for NaN *)
         | _ | (exception Failure _) -> bad what "a finite non-negative number" s
+      in
+      let positive_finite what s =
+        match float_of_string s with
+        | v when v > 0.0 && v < Float.infinity -> v (* false for NaN *)
+        | _ | (exception Failure _) -> bad what "a finite positive number" s
       in
       let version = next_line () in
       if version <> format_version then
@@ -228,7 +339,7 @@ let load path =
           when List.length counters = llc_assoc + 1 ->
             {
               instructions = positive_int "instructions" insns;
-              cycles = finite "cycles" cycles;
+              cycles = positive_finite "cycles" cycles;
               memory_stall_cycles = finite "stall" stall;
               llc_accesses = finite "accesses" acc;
               llc_misses = finite "misses" miss;

@@ -19,11 +19,20 @@ type interval = {
   sdc : Mppm_cache.Sdc.t;  (** LLC stack-distance counters *)
 }
 
-type t = {
+(** A profile is built only by {!make}, which derives the last three
+    fields from the intervals, so they cannot go stale. *)
+type t = private {
   benchmark : string;
   interval_instructions : int;  (** nominal interval length *)  (* mppm: unit insns *)
   llc_assoc : int;  (** associativity the SDCs were collected at *)
   intervals : interval array;
+  starts : int array;  (* mppm: unit insns *)
+      (** [starts.(i)] is the instructions before interval [i];
+          [starts.(n)] is the trace length *)
+  whole_cpi : float;  (** {!cpi} *)  (* mppm: unit cycles/insns *)
+  whole_miss_penalty : float;  (* mppm: unit cycles/accesses *)
+      (** whole-trace memory-stall cycles per LLC miss, [0.] without
+          misses: the model's penalty for a window with no misses *)
 }
 
 val make :  (* mppm: unit profile *)
@@ -32,17 +41,19 @@ val make :  (* mppm: unit profile *)
   llc_assoc:int ->
   interval array ->
   t
-(** Validates interval shapes (positive instruction counts, SDC
-    associativity agreement) and builds the profile. *)
+(** Validates the intervals and builds the profile.  Raises
+    [Invalid_argument] on a non-positive instruction count, cycles that
+    are not positive and finite, a negative or non-finite stall, access,
+    miss or SDC value, or an SDC of another associativity. *)
 
 val total_instructions : t -> int  (* mppm: unit insns *)
-(** Sum of interval instruction counts (the trace length). *)
+(** Sum of interval instruction counts (the trace length); O(1). *)
 
 val total_cycles : t -> float  (* mppm: unit cycles *)
 (** Sum of interval cycle counts (the isolated run's duration). *)
 
 val cpi : t -> float  (* mppm: unit cycles/insns *)
-(** Whole-trace single-core CPI. *)
+(** Whole-trace single-core CPI; O(1). *)
 
 val memory_cpi : t -> float  (* mppm: unit cycles/insns *)
 (** Whole-trace memory CPI component. *)
@@ -70,7 +81,43 @@ val window : t -> start:float -> count:float -> window
 (** [window t ~start ~count] sums interval statistics over the window,
     scaling the partial intervals at each end linearly (accesses are
     assumed uniform within one interval).  [count] must be positive and
-    [start] non-negative. *)
+    [start] non-negative, both finite.  It allocates a fresh result; the
+    model's per-epoch path uses {!window_into}. *)
+
+(** The sums of one window, in a flat float record: reading or writing a
+    field boxes nothing. *)
+type sums = private {
+  mutable s_instructions : float;  (* mppm: unit insns *)
+  mutable s_cycles : float;  (* mppm: unit cycles *)
+  mutable s_memory_stall_cycles : float;  (* mppm: unit cycles *)
+  mutable s_llc_accesses : float;  (* mppm: unit accesses *)
+  mutable s_llc_misses : float;  (* mppm: unit accesses *)
+}
+
+(** A caller-owned window accumulator: the sums, the window's SDC, and
+    the walk's cursor cells.  One per program, reused every epoch. *)
+type scratch = private {
+  sums : sums;
+  window_sdc : Mppm_cache.Sdc.t;
+  cursor : float array;
+}
+
+val scratch : assoc:int -> scratch  (* mppm: unit assoc:ways -> _ *)
+(** A zeroed accumulator for profiles of associativity [assoc]. *)
+
+(* mppm: unit _ -> _ -> starts:insns -> counts:insns -> _ -> _ *)
+val window_into :
+  t -> scratch -> starts:float array -> counts:float array -> int -> unit
+(** [window_into t sc ~starts ~counts i] overwrites [sc] with the window
+    [{!window} t ~start:starts.(i) ~count:counts.(i)]: the same sums and
+    SDC, bit for bit, with nothing allocated.  The query is read from
+    float-array cells because a float argument would be boxed. *)
+
+(* mppm: unit _ -> _ -> starts:insns -> counts:insns -> _ -> _ *)
+val window_cycles_into :
+  t -> scratch -> starts:float array -> counts:float array -> int -> unit
+(** Like {!window_into}, but fills only [s_instructions] and [s_cycles]
+    (the window's CPI) and leaves the other sums and the SDC stale. *)
 
 val window_cpi : window -> float  (* mppm: unit cycles/insns *)
 (** [w_cycles / w_instructions]. *)

@@ -269,6 +269,147 @@ let test_model_deterministic () =
         b.Model.programs.(i).Model.slowdown)
     a.Model.programs
 
+(* ---- Allocation-free epochs ------------------------------------------------ *)
+
+(* A mix of [n] distinct stationary programs: different CPIs, miss
+   rates, hit depths and access rates, so the windows cut intervals at
+   different offsets and FOA hands out uneven shares. *)
+let varied_mix n =
+  Array.init n (fun i ->
+      stationary_profile
+        ~name:(Printf.sprintf "p%d" i)
+        ~cpi:(0.6 +. (0.13 *. float_of_int i))
+        ~stall_per_miss:(20.0 +. (7.0 *. float_of_int i))
+        ~accesses_per_interval:(30.0 +. (11.0 *. float_of_int (i mod 5)))
+        ~miss_fraction:(0.05 +. (0.03 *. float_of_int (i mod 4)))
+        ~hit_depth:(1 + (i mod assoc))
+        ())
+
+(* The whole prediction, set-up and result included, allocates the same
+   at twice the epochs: the epochs themselves allocate nothing. *)
+let test_epochs_allocate_nothing () =
+  List.iter
+    (fun n ->
+      let profiles = varied_mix n in
+      let predict multiplier =
+        Model.predict_profiles
+          { default_params with Model.stop_trace_multiplier = multiplier }
+          profiles
+      in
+      ignore (predict 5.0);
+      let r5 = predict 5.0 and r10 = predict 10.0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d programs: twice the epochs" n)
+        true
+        (r10.Model.iterations >= 2 * r5.Model.iterations - 1);
+      let w5 = Suite_simcore.minor_words_of (fun () -> ignore (predict 5.0)) in
+      let w10 = Suite_simcore.minor_words_of (fun () -> ignore (predict 10.0)) in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%d programs: words at 10 traces = words at 5" n)
+        w5 w10)
+    [ 4; 16 ]
+
+let test_window_into_allocates_nothing () =
+  let p = (varied_mix 3).(2) in
+  let sc = Profile.scratch ~assoc in
+  let starts = [| 2_345.5 |] and counts = [| 6_789.25 |] in
+  Profile.window_into p sc ~starts ~counts 0;
+  let words =
+    Suite_simcore.minor_words_of (fun () ->
+        for _ = 1 to 1_000 do
+          Profile.window_into p sc ~starts ~counts 0;
+          Profile.window_cycles_into p sc ~starts ~counts 0
+        done)
+  in
+  Alcotest.(check (float 0.0)) "words over 1000 windows" 0.0 words
+
+let test_foa_predict_into_allocates_nothing () =
+  List.iter
+    (fun n ->
+      let sdcs =
+        Array.map
+          (fun p -> (Profile.window p ~start:1_500.0 ~count:3_250.0).Profile.w_sdc)
+          (varied_mix n)
+      in
+      let out = Contention.prediction n in
+      Contention.predict_into Contention.Foa sdcs out;
+      let words =
+        Suite_simcore.minor_words_of (fun () ->
+            for _ = 1 to 1_000 do
+              Contention.predict_into Contention.Foa sdcs out
+            done)
+      in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%d programs: words over 1000 predictions" n)
+        0.0 words;
+      let fresh = Contention.predict Contention.Foa sdcs in
+      Alcotest.(check (array (float 0.0))) "same extra misses as predict"
+        fresh.Contention.extra_misses out.Contention.extra_misses)
+    [ 1; 4; 16 ]
+
+(* ---- Non-default model paths, pinned bit for bit --------------------------- *)
+
+(* The canonical mix (2 x gamess + hmmer + soplex, LLC config #1, 100k
+   traces, seed 7) under every contention model, both update rules, and
+   with and without the bandwidth extension: one line per variant with
+   the slowdowns, STP and ANTT in %h (every bit) and the iteration
+   count. *)
+let variant_lines () =
+  let module Context = Mppm_experiments.Context in
+  let module Scale = Mppm_experiments.Scale in
+  let module Mix = Mppm_workload.Mix in
+  let ctx = Context.create ~seed:7 (Scale.of_trace 100_000) in
+  let mix = Mix.of_names [| "gamess"; "gamess"; "hmmer"; "soplex" |] in
+  let base = Context.model_params ctx in
+  let rules =
+    [ ("consistent", Model.Consistent); ("paper", Model.Paper_literal) ]
+  in
+  let bandwidths =
+    [
+      ("nobw", None);
+      ("bw16/0.5",
+       Some { Model.transfer_cycles = 16.0; exposed_fraction = 0.5 });
+    ]
+  in
+  List.concat_map
+    (fun contention ->
+      List.concat_map
+        (fun (rule_name, update_rule) ->
+          List.map
+            (fun (bw_name, bandwidth) ->
+              let params =
+                {
+                  base with
+                  Model.contention = Contention.of_string contention;
+                  update_rule;
+                  bandwidth;
+                }
+              in
+              let r = Context.predict_with ctx ~params ~llc_config:1 mix in
+              Printf.sprintf "%s %s %s slowdowns %s stp %h antt %h iterations %d"
+                contention rule_name bw_name
+                (String.concat " "
+                   (Array.to_list
+                      (Array.map
+                         (fun p -> Printf.sprintf "%h" p.Model.slowdown)
+                         r.Model.programs)))
+                r.Model.stp r.Model.antt r.Model.iterations)
+            bandwidths)
+        rules)
+    [ "foa"; "sdc"; "prob:5"; "part:4,2,1,1" ]
+
+(* Regenerates [golden_model_variants.txt] and diffs it: every contention
+   model, both update rules and the bandwidth extension keep every bit. *)
+let test_variants_match_golden () =
+  let golden_file = "golden_model_variants.txt" in
+  if not (Sys.file_exists golden_file) then
+    Alcotest.fail ("missing golden " ^ golden_file);
+  let ic = open_in_bin golden_file in
+  let golden = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let ours = String.concat "" (List.map (fun l -> l ^ "\n") (variant_lines ())) in
+  Alcotest.(check string) "variants match the checked-in golden" golden ours
+
 (* ---- Model vs detailed simulation (the paper's accuracy contract) --------- *)
 
 let test_model_tracks_detailed_simulation () =
@@ -342,6 +483,20 @@ let tests =
           test_model_paper_vs_consistent_update;
         Alcotest.test_case "pluggable contention" `Quick test_model_contention_model_is_pluggable;
         Alcotest.test_case "deterministic" `Quick test_model_deterministic;
+      ] );
+    ( "core.model_alloc",
+      [
+        Alcotest.test_case "epochs allocate nothing" `Quick
+          test_epochs_allocate_nothing;
+        Alcotest.test_case "window_into allocates nothing" `Quick
+          test_window_into_allocates_nothing;
+        Alcotest.test_case "FOA predict_into allocates nothing" `Quick
+          test_foa_predict_into_allocates_nothing;
+      ] );
+    ( "core.model_variants",
+      [
+        Alcotest.test_case "variants match golden" `Quick
+          test_variants_match_golden;
       ] );
     ( "core.end_to_end",
       [

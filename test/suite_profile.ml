@@ -188,7 +188,7 @@ let test_load_rejects_garbage () =
    first).  A non-finite, negative or unparsable float, or a zero
    instruction count, must be a [Failure] that names the line, not a
    hang in the model or an [Invalid_argument] from [make]. *)
-let test_load_rejects_bad_numbers () =
+let check_load_rejects cases =
   let path = Filename.temp_file "mppm-test" ".prof" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -217,11 +217,180 @@ let test_load_rejects_bad_numbers () =
                 true
                 (String.length msg >= String.length where
                 && String.sub msg 0 (String.length where) = where))
-        [ (1, "nan"); (1, "inf"); (2, "-5"); (5, "abc"); (0, "0") ])
+        cases)
+
+let test_load_rejects_bad_numbers () =
+  check_load_rejects
+    [ (1, "nan"); (1, "inf"); (2, "-5"); (5, "abc"); (0, "0") ]
+
+(* A zero-cycle interval makes a window's CPI zero, and the model's
+   progress then NaN or infinite: the epoch loop never ends.  [load]
+   refuses it like any other bad number. *)
+let test_load_rejects_zero_cycles () =
+  check_load_rejects [ (1, "0"); (1, "-0"); (1, "0.0") ]
+
+(* [make] is the guard for in-process callers: every interval value the
+   window walk and the model divide by or sum must be finite, cycles
+   positive. *)
+let test_make_rejects_degenerate_intervals () =
+  let base = make_interval 1 in
+  let rejects what iv =
+    match
+      Profile.make ~benchmark:"x" ~interval_instructions:1_000 ~llc_assoc:assoc
+        [| make_interval 0; iv |]
+    with
+    | _ -> Alcotest.failf "make accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "zero cycles" { base with Profile.cycles = 0.0 };
+  rejects "negative cycles" { base with Profile.cycles = -1.0 };
+  rejects "NaN cycles" { base with Profile.cycles = Float.nan };
+  rejects "infinite cycles" { base with Profile.cycles = Float.infinity };
+  rejects "NaN stall" { base with Profile.memory_stall_cycles = Float.nan };
+  rejects "negative stall" { base with Profile.memory_stall_cycles = -1.0 };
+  rejects "negative accesses" { base with Profile.llc_accesses = -1.0 };
+  rejects "infinite misses" { base with Profile.llc_misses = Float.infinity };
+  rejects "NaN SDC counter"
+    {
+      base with
+      Profile.sdc =
+        Sdc.of_list ~assoc (Float.nan :: List.tl (Sdc.to_list base.Profile.sdc));
+    };
+  let p = sample_profile () in
+  Alcotest.check_raises "infinite window count"
+    (Invalid_argument "Profile.window: non-finite window") (fun () ->
+      ignore (Profile.window p ~start:0.0 ~count:Float.infinity));
+  Alcotest.check_raises "NaN window start"
+    (Invalid_argument "Profile.window: non-finite window") (fun () ->
+      ignore (Profile.window p ~start:Float.nan ~count:10.0))
+
+(* ---- the window walk against a linear-scan oracle ------------------- *)
+
+(* The window walk as it was written before the walk moved into
+   caller-owned scratch: a left-to-right scan for the start interval with
+   a running float offset, a fresh scaled SDC copy per interval, and
+   boxed sums.  The rewrite must match it bit for bit. *)
+let oracle_window (t : Profile.t) ~start ~count =
+  let trace_len =
+    float_of_int
+      (Array.fold_left (fun acc iv -> acc + iv.Profile.instructions) 0
+         t.Profile.intervals)
+  in
+  let sdc = Sdc.create ~assoc:t.Profile.llc_assoc in
+  let ins = ref 0.0 and cyc = ref 0.0 and stall = ref 0.0 in
+  let acc = ref 0.0 and miss = ref 0.0 in
+  let n = Array.length t.Profile.intervals in
+  let pos = Float.rem start trace_len in
+  let rec locate i off =
+    let len = float_of_int t.Profile.intervals.(i).Profile.instructions in
+    if pos < off +. len || i = n - 1 then (i, pos -. off)
+    else locate (i + 1) (off +. len)
+  in
+  let idx, offset = locate 0 0.0 in
+  let idx = ref idx and offset = ref offset and remaining = ref count in
+  while !remaining > 1e-9 do
+    let iv = t.Profile.intervals.(!idx) in
+    let len = float_of_int iv.Profile.instructions in
+    let take = Float.min (len -. !offset) !remaining in
+    let frac = take /. len in
+    if frac > 0.0 then begin
+      Sdc.add_into ~dst:sdc (Sdc.scale iv.Profile.sdc frac);
+      ins := !ins +. (float_of_int iv.Profile.instructions *. frac);
+      cyc := !cyc +. (iv.Profile.cycles *. frac);
+      stall := !stall +. (iv.Profile.memory_stall_cycles *. frac);
+      acc := !acc +. (iv.Profile.llc_accesses *. frac);
+      miss := !miss +. (iv.Profile.llc_misses *. frac)
+    end;
+    remaining := !remaining -. take;
+    offset := 0.0;
+    idx := (!idx + 1) mod n
+  done;
+  (!ins, !cyc, !stall, !acc, !miss, sdc)
+
+let bits x = Int64.bits_of_float x
+
+(* A random profile: 1 to 12 intervals of uneven length with arbitrary
+   fractional statistics, and window queries that start anywhere in the
+   first few laps (a quarter of them exactly on an interval boundary) and
+   span from a fraction of one interval to several wraps. *)
+let window_case_gen =
+  let open QCheck.Gen in
+  let assoc = 4 in
+  let interval =
+    let* instructions = int_range 1 5_000 in
+    let* cycles = float_range 1.0 20_000.0 in
+    let* stall = float_range 0.0 5_000.0 in
+    let* accesses = float_range 0.0 400.0 in
+    let* misses = float_range 0.0 100.0 in
+    let+ counters = list_repeat (assoc + 1) (float_range 0.0 90.0) in
+    {
+      Profile.instructions;
+      cycles;
+      memory_stall_cycles = stall;
+      llc_accesses = accesses;
+      llc_misses = misses;
+      sdc = Sdc.of_list ~assoc counters;
+    }
+  in
+  let* intervals = array_size (int_range 1 12) interval in
+  let p =
+    Profile.make ~benchmark:"random" ~interval_instructions:1_000
+      ~llc_assoc:assoc intervals
+  in
+  let n = Array.length intervals in
+  let total = Profile.total_instructions p in
+  let* start =
+    oneof
+      [
+        float_range 0.0 (3.0 *. float_of_int total);
+        (let+ k = int_range 0 n and+ lap = int_range 0 3 in
+         float_of_int (p.Profile.starts.(k) + (lap * total)));
+      ]
+  in
+  let shortest =
+    Array.fold_left (fun m iv -> min m iv.Profile.instructions) max_int intervals
+  in
+  let+ count =
+    oneof
+      [
+        float_range 1e-3 (float_of_int shortest);
+        float_range 1.0 (float_of_int total);
+        float_range 1.0 (4.0 *. float_of_int total);
+      ]
+  in
+  (p, start, count)
+
+let window_case_print (p, start, count) =
+  Printf.sprintf "%d intervals (%d insns), start %h, count %h"
+    (Array.length p.Profile.intervals)
+    (Profile.total_instructions p) start count
+
+let window_matches_oracle (p, start, count) =
+  let ins, cyc, stall, acc, miss, sdc = oracle_window p ~start ~count in
+  let sc = Profile.scratch ~assoc:p.Profile.llc_assoc in
+  (* Dirty the scratch first: a reused accumulator must not leak. *)
+  Profile.window_into p sc ~starts:[| 0.0 |] ~counts:[| 1.5 |] 0;
+  Profile.window_into p sc ~starts:[| start |] ~counts:[| count |] 0;
+  let s = sc.Profile.sums in
+  let w = Profile.window p ~start ~count in
+  let same a b = Int64.equal (bits a) (bits b) in
+  let same_list a b = List.length a = List.length b && List.for_all2 same a b in
+  same ins s.Profile.s_instructions
+  && same cyc s.Profile.s_cycles
+  && same stall s.Profile.s_memory_stall_cycles
+  && same acc s.Profile.s_llc_accesses
+  && same miss s.Profile.s_llc_misses
+  && same_list (Sdc.to_list sdc) (Sdc.to_list sc.Profile.window_sdc)
+  && same cyc w.Profile.w_cycles
+  && same_list (Sdc.to_list sdc) (Sdc.to_list w.Profile.w_sdc)
 
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"window matches the linear-scan oracle bit for bit"
+      ~count:500
+      (make ~print:window_case_print window_case_gen)
+      window_matches_oracle;
     Test.make ~name:"window instruction count is exact" ~count:200
       (pair (float_range 0.0 20_000.0) (float_range 1.0 8_000.0))
       (fun (start, count) ->
@@ -253,6 +422,10 @@ let tests =
         Alcotest.test_case "reduce associativity" `Quick test_reduce_associativity;
         Alcotest.test_case "save/load roundtrip" `Quick test_save_load_roundtrip;
         Alcotest.test_case "load rejects garbage" `Quick test_load_rejects_garbage;
+        Alcotest.test_case "load rejects zero cycles" `Quick
+          test_load_rejects_zero_cycles;
+        Alcotest.test_case "make rejects degenerate intervals" `Quick
+          test_make_rejects_degenerate_intervals;
         Alcotest.test_case "load rejects bad numbers" `Quick
           test_load_rejects_bad_numbers;
       ] );

@@ -968,47 +968,65 @@ let test_u3_ratio () =
         || contains b.Diag.message "interval index")
   | ds -> Alcotest.failf "expected two U3, got %d U findings" (List.length ds))
 
-(* The committed SDC prefix-sum readout is the real-source anchor: flip its
-   subtraction into an addition and U2 must fire on the flipped line. *)
+(* A prefix-sum readout over interval SDCs (running access mass, and a
+   window's mass as one subtraction of two cumulative readings), kept as
+   an inline fixture: flip its subtraction into an addition and U2 must
+   fire on the flipped line. *)
+let sdc_readout_mli =
+  "type t\n\
+   val accesses : t -> float  (* mppm: unit accesses *)\n\
+   (** Total accesses. *)\n\
+   val prefix_counts : t list -> float array  (* mppm: unit _ -> cumulative accesses *)\n\
+   (** Running access mass; element 0 is 0. *)\n\
+   val window_accesses :  (* mppm: unit cumulative accesses -> first:intervals -> last:intervals -> accesses *)\n\
+   \  float array -> first:int -> last:int -> float\n\
+   (** Access mass of intervals [first] to [last - 1]. *)\n"
+
+let sdc_readout_ml =
+  "type t = { assoc : int; counters : float array }\n\
+   let accesses t = Array.fold_left ( +. ) 0.0 t.counters\n\
+   let prefix_counts sdcs =\n\
+  \  let n = List.length sdcs in\n\
+  \  let prefix = Array.make (n + 1) 0.0 in\n\
+  \  List.iteri (fun i sdc -> prefix.(i + 1) <- prefix.(i) +. accesses sdc) sdcs;\n\
+  \  prefix\n\
+   let window_accesses prefix ~first ~last =\n\
+  \  if first < 0 || last < first || last >= Array.length prefix then\n\
+  \    invalid_arg \"Sdc.window_accesses: window out of range\";\n\
+  \  prefix.(last) -. prefix.(first)\n"
+
 let test_u2_real_sdc_flip () =
-  match lint_root () with
-  | None -> Alcotest.fail "cannot locate the source tree"
-  | Some root ->
-      let ml = read_file (Filename.concat root "lib/cache/sdc.ml") in
-      let mli = read_file (Filename.concat root "lib/cache/sdc.mli") in
-      let clean =
-        analyze [ ("lib/cache/sdc.mli", mli); ("lib/cache/sdc.ml", ml) ]
-      in
-      Alcotest.(check int) "pristine readout is unit-clean" 0
-        (List.length (u_rules clean));
-      let needle = "prefix.(last) -. prefix.(first)" in
-      Alcotest.(check bool) "readout shape present" true (contains ml needle);
-      let idx =
-        let n = String.length needle and h = String.length ml in
-        let rec go i =
-          if i + n > h then Alcotest.fail "needle vanished"
-          else if String.sub ml i n = needle then i
-          else go (i + 1)
-        in
-        go 0
-      in
-      let flipped =
-        String.sub ml 0 idx
-        ^ "prefix.(last) +. prefix.(first)"
-        ^ String.sub ml (idx + String.length needle)
-            (String.length ml - idx - String.length needle)
-      in
-      let r =
-        analyze [ ("lib/cache/sdc.mli", mli); ("lib/cache/sdc.ml", flipped) ]
-      in
-      (match u_rules r with
-      | [ d ] ->
-          Alcotest.(check string) "flipped subtraction is U2" "U2" d.Diag.rule;
-          Alcotest.(check bool) "message explains composition" true
-            (contains d.Diag.message "cumulative")
-      | ds ->
-          Alcotest.failf "expected exactly one U2, got %d U findings"
-            (List.length ds))
+  let mli_rel = "lib/cache/sdc.mli" and ml_rel = "lib/cache/sdc.ml" in
+  let clean = analyze [ (mli_rel, sdc_readout_mli); (ml_rel, sdc_readout_ml) ] in
+  Alcotest.(check int) "pristine readout is unit-clean" 0
+    (List.length (u_rules clean));
+  let needle = "prefix.(last) -. prefix.(first)" in
+  let ml = sdc_readout_ml in
+  let idx =
+    let n = String.length needle and h = String.length ml in
+    let rec go i =
+      if i + n > h then Alcotest.fail "needle vanished"
+      else if String.sub ml i n = needle then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let flipped =
+    String.sub ml 0 idx
+    ^ "prefix.(last) +. prefix.(first)"
+    ^ String.sub ml (idx + String.length needle)
+        (String.length ml - idx - String.length needle)
+  in
+  let r = analyze [ (mli_rel, sdc_readout_mli); (ml_rel, flipped) ] in
+  match u_rules r with
+  | [ d ] ->
+      Alcotest.(check string) "flipped subtraction is U2" "U2" d.Diag.rule;
+      Alcotest.(check int) "on the flipped line" 11 d.Diag.line;
+      Alcotest.(check bool) "message explains composition" true
+        (contains d.Diag.message "cumulative")
+  | ds ->
+      Alcotest.failf "expected exactly one U2, got %d U findings"
+        (List.length ds)
 
 let units_lattice_tests =
   let unit_arb =

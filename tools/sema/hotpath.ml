@@ -134,8 +134,9 @@ let hint = function
       "hashtable traffic is banned on the hot path — use an array keyed \
        by a dense index"
   | "P4" ->
-      "accumulate through a float array cell or an unboxed accumulator \
-       argument"
+      "accumulate through a float array cell or a mutable field of an \
+       all-float record; a float argument to a non-inlined or recursive \
+       function is boxed"
   | _ -> ""
 
 let check entries =
