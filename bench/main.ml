@@ -76,8 +76,7 @@ let write_phase_trace ~path prof =
     List.map
       (fun (s : Prof.span) ->
         Obs_event.make ~name:s.Prof.sp_name ~time:(us s.Prof.sp_start)
-          ~dur:(s.Prof.sp_dur *. 1e6)
-          [ ("alloc_bytes", Obs_event.Float s.Prof.sp_alloc_bytes) ])
+          ~dur:(s.Prof.sp_dur *. 1e6) [])
       spans
     @ List.map
         (fun (tk : Prof.task) ->

@@ -80,7 +80,7 @@ let write_all fd s =
 type conn = {
   fd : Unix.file_descr;
   id : int;
-  mutable inbox : string;  (* received bytes not yet consumed by framing *)
+  inbox : Buffer.t;  (* received bytes not yet consumed by framing *)
   mutable closing : bool;  (* close once the pending responses are out *)
 }
 
@@ -88,27 +88,35 @@ type conn = {
    framing-layer error that poisoned the connection. *)
 type work = Payload of string | Garbage of Wire.error_code * string
 
-(* Pop every complete frame out of [conn.inbox].  A corrupt length prefix
-   cannot be resynchronized, so it yields one final [Garbage] work item
-   (answered with a structured error response) and marks the connection
-   for close. *)
-let rec take_frames conn acc =
-  let data = conn.inbox in
-  if String.length data < 4 then List.rev acc
-  else
-    match Wire.frame_length (String.sub data 0 4) with
-    | Error (code, msg) ->
-        conn.inbox <- "";
-        conn.closing <- true;
-        List.rev (Garbage (code, msg) :: acc)
-    | Ok len ->
-        if String.length data < 4 + len then List.rev acc
-        else begin
-          let payload = String.sub data 4 len in
-          conn.inbox <-
-            String.sub data (4 + len) (String.length data - 4 - len);
-          take_frames conn (Payload payload :: acc)
-        end
+(* Pop every complete frame out of [conn.inbox], then drop the consumed
+   prefix with one copy of the partial frame behind it, so framing costs
+   linear time in the bytes received however they are chunked.  A corrupt
+   length prefix cannot be resynchronized, so it yields one final
+   [Garbage] work item (answered with a structured error response),
+   discards the rest of the inbox and marks the connection for close. *)
+let take_frames conn =
+  let inbox = conn.inbox in
+  let rec take pos acc =
+    let avail = Buffer.length inbox - pos in
+    if avail < 4 then (pos, acc)
+    else
+      match Wire.frame_length (Buffer.sub inbox pos 4) with
+      | Error (code, msg) ->
+          conn.closing <- true;
+          (Buffer.length inbox, Garbage (code, msg) :: acc)
+      | Ok len ->
+          if avail < 4 + len then (pos, acc)
+          else
+            let payload = Buffer.sub inbox (pos + 4) len in
+            take (pos + 4 + len) (Payload payload :: acc)
+  in
+  let consumed, frames = take 0 [] in
+  if consumed > 0 then begin
+    let rest = Buffer.sub inbox consumed (Buffer.length inbox - consumed) in
+    Buffer.reset inbox;
+    Buffer.add_string inbox rest
+  end;
+  List.rev frames
 
 (* ---- request handling ------------------------------------------------ *)
 
@@ -146,14 +154,16 @@ let serve ctx pool listen_fd =
     | fd, _ ->
         incr next_id;
         Registry.incr "serve.connections";
-        conns := !conns @ [ { fd; id = !next_id; inbox = ""; closing = false } ]
+        conns :=
+          !conns
+          @ [ { fd; id = !next_id; inbox = Buffer.create 4096; closing = false } ]
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   in
+  let chunk = Bytes.create 65536 in
   let read_conn conn =
-    let buf = Bytes.create 65536 in
-    match Unix.read conn.fd buf 0 (Bytes.length buf) with
+    match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
     | 0 -> drop conn
-    | n -> conn.inbox <- conn.inbox ^ Bytes.sub_string buf 0 n
+    | n -> Buffer.add_subbytes conn.inbox chunk 0 n
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
         drop conn
   in
@@ -175,7 +185,7 @@ let serve ctx pool listen_fd =
         let batch =
           List.concat_map
             (fun conn ->
-              List.map (fun w -> (conn, w)) (take_frames conn []))
+              List.map (fun w -> (conn, w)) (take_frames conn))
             !conns
         in
         if batch <> [] then begin

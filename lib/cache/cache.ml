@@ -1,5 +1,3 @@
-type outcome = Hit of int | Miss
-
 (* Each set stores tags in recency order: index 0 is MRU.  [fill] tracks how
    many ways of the set are valid; valid tags occupy the prefix.  For FIFO,
    [age_order] tracks tags in insertion order so hits do not disturb the
@@ -142,7 +140,7 @@ let lookup_as t ~owner addr =
   (match t.partition with
   | Some quotas ->
       if owner < 0 || owner >= Array.length quotas then
-        invalid_arg "Cache.access_as: owner outside the partition"
+        invalid_arg "Cache.lookup_as: owner outside the partition"
   | None -> ());
   let pos = find_in_set set fill tag in
   if pos >= 0 then begin
@@ -202,11 +200,6 @@ let lookup_as t ~owner addr =
 (* mppm: unit ways -- LRU depth of a hit, 0 on a miss *)
 let lookup t addr = lookup_as t ~owner:0 addr
 
-let access_as t ~owner addr =
-  match lookup_as t ~owner addr with 0 -> Miss | depth -> Hit depth
-
-let access t addr = access_as t ~owner:0 addr
-
 let probe t addr =
   let set_idx = Geometry.set_index t.geometry addr in
   let tag = Geometry.tag t.geometry addr in
@@ -261,7 +254,3 @@ let counters t =
     ("hits", float_of_int t.hits);
     ("misses", float_of_int t.misses);
   ]
-
-let pp_stats ppf t =
-  Format.fprintf ppf "%a: %d accesses, %d hits, %d misses (%.2f%% miss rate)"
-    Geometry.pp t.geometry t.accesses t.hits t.misses (100.0 *. miss_rate t)

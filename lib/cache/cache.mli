@@ -8,13 +8,6 @@
 type t
 (** A mutable cache instance. *)
 
-type outcome =
-  | Hit of int
-      (** [Hit depth]: the access hit at 1-based LRU depth [depth] of its
-          set ([1] = most recently used).  For non-LRU policies the depth is
-          still the recency depth, maintained alongside the policy. *)
-  | Miss
-
 val create : ?policy:Replacement.t -> ?partition:int array -> Geometry.t -> t
 (** [create ~policy ~partition geometry] is an empty (all-invalid) cache.
     Default policy is {!Replacement.Lru}.
@@ -24,30 +17,24 @@ val create : ?policy:Replacement.t -> ?partition:int array -> Geometry.t -> t
     quota evicts its own LRU line; an owner below it steals the LRU line of
     an over-quota owner (global LRU if nobody is over).  Quotas must be
     positive and sum to at most the associativity; partitioning requires
-    the LRU policy.  Accesses then go through {!access_as}. *)
+    the LRU policy.  Accesses then go through {!lookup_as}. *)
 
 val geometry : t -> Geometry.t
 (** The geometry this cache was created with. *)
 
-val access : t -> int -> outcome  (* mppm: unit outcome *)
-(** [access t addr] looks up the line containing byte address [addr],
+val lookup : t -> int -> int  (* mppm: unit ways *)
+(** [lookup t addr] looks up the line containing byte address [addr],
     updates replacement state, fills the line on a miss, and updates the
-    statistics counters.  Equivalent to [access_as t ~owner:0 addr]. *)
+    statistics counters.  It returns the 1-based LRU depth of a hit within
+    its set ([1] = most recently used), or [0] on a miss.  For non-LRU
+    policies the depth is still the recency depth, maintained alongside
+    the policy.  Equivalent to [lookup_as t ~owner:0 addr]. *)
 
-val access_as : t -> owner:int -> int -> outcome  (* mppm: unit outcome *)
-(** [access_as t ~owner addr] is {!access} on behalf of [owner] (a core
+val lookup_as : t -> owner:int -> int -> int  (* mppm: unit ways *)
+(** [lookup_as t ~owner addr] is {!lookup} on behalf of [owner] (a core
     index); only meaningful for partitioned caches, where the owner selects
     the victim policy described at {!create}.  [owner] must be within the
     partition array when one exists. *)
-
-val lookup : t -> int -> int  (* mppm: unit ways *)
-(** [lookup t addr] is {!access} without the allocation: the 1-based LRU
-    depth of a hit, [0] on a miss, with the same state change. *)
-
-val lookup_as : t -> owner:int -> int -> int  (* mppm: unit ways *)
-(** [lookup_as t ~owner addr] is {!access_as} without the allocation: the
-    1-based LRU depth of a hit, [0] on a miss, with the same state change.
-    {!access_as} is this lookup read back into an {!outcome}. *)
 
 val owner_lines : t -> owner:int -> int  (* mppm: unit sets*ways *)
 (** Number of currently valid lines inserted by [owner] (0 for
@@ -81,7 +68,3 @@ val counters : t -> (string * float) list
 (** The statistics counters as observability pairs
     ([accesses]/[hits]/[misses]), ready for
     [Mppm_obs.Registry.add_all]. *)
-
-(* lint: allow S4 debugging printer kept as API surface *)
-val pp_stats : Format.formatter -> t -> unit
-(** One-line rendering of the statistics counters. *)

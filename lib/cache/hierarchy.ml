@@ -11,12 +11,6 @@ type config = {
 type hit_level = L1 | L2 | Llc | Memory
 type access_kind = Fetch | Load | Store
 
-type result = {
-  latency : int;
-  hit_level : hit_level;
-  llc_outcome : Cache.outcome option;
-}
-
 type t = {
   config : config;
   l1i_cache : Cache.t;
@@ -62,7 +56,7 @@ let llc_code = 2
 let memory_code = 3
 
 (* mppm: unit _ -> kind:_ -> addr:_ -> _ *)
-let access_packed t ~kind ~addr =
+let access t ~kind ~addr =
   let l1 =
     match kind with Fetch -> t.l1i_cache | Load | Store -> t.l1d_cache
   in
@@ -101,20 +95,6 @@ let latency config ~kind = function
   | L2 -> config.l2.latency
   | Llc -> config.llc.latency
   | Memory -> config.llc.latency + config.memory_latency
-
-(* mppm: unit result *)
-let access t ~kind ~addr =
-  let packed = access_packed t ~kind ~addr in
-  let hit_level = packed_level packed in
-  {
-    latency = latency t.config ~kind hit_level;
-    hit_level;
-    llc_outcome =
-      (match hit_level with
-      | L1 | L2 -> None
-      | Llc -> Some (Cache.Hit (packed_llc_depth packed))
-      | Memory -> Some Cache.Miss);
-  }
 
 let llc_accesses t = t.llc_accesses
 let llc_misses t = t.llc_misses

@@ -28,14 +28,6 @@ type hit_level = L1 | L2 | Llc | Memory
 type access_kind = Fetch | Load | Store
 (** Instruction fetch vs. data read vs. data write. *)
 
-type result = {
-  latency : int;  (** cycles to satisfy the access *)  (* mppm: unit cycles *)
-  hit_level : hit_level;
-  llc_outcome : Cache.outcome option;
-      (** outcome at the LLC if the access reached it (i.e. missed L2);
-          [None] otherwise.  Lets profilers histogram LLC stack depths. *)
-}
-
 type t
 (** One core's view of the hierarchy. *)
 
@@ -54,28 +46,24 @@ val config : t -> config
 val llc : t -> Cache.t
 (** The (possibly shared) last-level cache instance. *)
 
-val access : t -> kind:access_kind -> addr:int -> result
-(** Simulates the access through L1 (instruction or data side per [kind]),
-    then L2, then LLC, then memory.  It is {!access_packed} read back into
-    a {!result}. *)
-
-val access_packed : t -> kind:access_kind -> addr:int -> int  (* mppm: unit _ -> kind:_ -> addr:_ -> _ *)
-(** [access_packed t ~kind ~addr] is {!access} without the allocation: the
-    same simulation, with the result packed into an int.  Read it with
+val access : t -> kind:access_kind -> addr:int -> int  (* mppm: unit _ -> kind:_ -> addr:_ -> _ *)
+(** [access t ~kind ~addr] simulates the access through L1 (instruction or
+    data side per [kind]), then L2, then LLC, then memory, allocating
+    nothing.  The result is packed into an int: read it with
     {!packed_level} and {!packed_llc_depth}. *)
 
 val packed_level : int -> hit_level
-(** Where a packed access was satisfied: the [hit_level] of {!access}. *)
+(** Where a packed access was satisfied. *)
 
 val packed_llc_depth : int -> int  (* mppm: unit ways *)
 (** The 1-based LLC stack depth of a packed access satisfied at [Llc] (1
-    under [perfect_llc]); 0 for every other level.  [llc_outcome] of
-    {!access} is [Some (Hit d)] at [Llc], [Some Miss] at [Memory] and
-    [None] above the LLC. *)
+    under [perfect_llc]), as {!Cache.lookup_as} reports it; 0 for every
+    other level, so a [Memory] access reads as an LLC miss. *)
 
 val latency : config -> kind:access_kind -> hit_level -> int  (* mppm: unit cycles *)
-(** [latency config ~kind level] is the [latency] of {!access} for an
-    access of [kind] satisfied at [level]. *)
+(** [latency config ~kind level] is the cycles an access of [kind]
+    satisfied at [level] takes: the level's latency, plus the memory
+    latency beyond the LLC for [Memory]. *)
 
 val llc_accesses : t -> int  (* mppm: unit accesses *)
 (** LLC lookups issued by this core's hierarchy. *)

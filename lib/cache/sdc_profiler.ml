@@ -1,28 +1,15 @@
 type t = {
-  cache : Cache.t;
   mutable current : Sdc.t;
   total : Sdc.t;
 }
 
-let create geometry =
-  let assoc = geometry.Geometry.associativity in
-  {
-    cache = Cache.create ~policy:Replacement.Lru geometry;
-    current = Sdc.create ~assoc;
-    total = Sdc.create ~assoc;
-  }
-
+let create ~assoc = { current = Sdc.create ~assoc; total = Sdc.create ~assoc }
 
 (* mppm: hot — per-access profiling hook *)
 let record_depth t depth =
   let depth = if Int.equal depth 0 then max_int else depth in
   Sdc.record t.current ~depth;
   Sdc.record t.total ~depth
-
-let access t addr =
-  let outcome = Cache.access t.cache addr in
-  record_depth t (match outcome with Cache.Hit d -> d | Cache.Miss -> 0);
-  outcome
 
 let cut_interval t =
   let finished = t.current in

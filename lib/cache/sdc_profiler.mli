@@ -1,26 +1,22 @@
 (** Per-interval stack-distance profiling of an access stream.
 
-    Drives a private LRU image of the target cache and histograms every
-    access's LRU depth into the current interval's {!Sdc.t}.  The
-    single-core profiling run cuts an interval every 20M instructions
+    Histograms the LRU depth of every access to the profiled cache into
+    the current interval's {!Sdc.t}.  The cache itself is simulated by the
+    caller, which reports each access's depth through {!record_depth}.
+    The single-core profiling run cuts an interval every 20M instructions
     (scaled), producing the per-interval SDCs MPPM consumes. *)
 
 type t
-(** A profiler: a private cache image plus the interval in progress. *)
+(** A profiler: the interval in progress plus the lifetime total. *)
 
-val create : Geometry.t -> t  (* mppm: unit _ -> profiler *)
-(** [create geometry] profiles a cache of the given geometry (always LRU:
-    stack distances are defined against the LRU stack). *)
-
-val access : t -> int -> Cache.outcome  (* mppm: unit _ -> _ -> outcome *)
-(** [access t addr] simulates the access, records its depth in the current
-    interval, and reports the outcome. *)
+val create : assoc:int -> t  (* mppm: unit assoc:ways -> profiler *)
+(** [create ~assoc] profiles an LRU cache of associativity [assoc] (stack
+    distances are defined against the LRU stack). *)
 
 val record_depth : t -> int -> unit  (* mppm: unit _ -> ways -> _ *)
-(** [record_depth t depth] histograms an access observed on an *external*
-    cache of the same geometry, without touching the internal image.  Used
-    when the profiled cache is simulated elsewhere.  [depth] is as
-    {!Cache.lookup} reports it: the 1-based hit depth, [0] for a miss. *)
+(** [record_depth t depth] histograms one access to the profiled cache.
+    [depth] is as {!Cache.lookup} reports it: the 1-based hit depth, [0]
+    for a miss. *)
 
 val cut_interval : t -> Sdc.t  (* mppm: unit sdc *)
 (** [cut_interval t] returns the SDC accumulated since the previous cut

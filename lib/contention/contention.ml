@@ -218,5 +218,3 @@ let of_string s =
       with Failure _ -> invalid_arg "Contention.of_string: bad partition")
   | _ ->
       invalid_arg "Contention.of_string: expected foa|sdc|prob[:n]|part:<ways>"
-
-let pp ppf model = Format.pp_print_string ppf (model_name model)

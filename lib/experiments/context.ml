@@ -130,16 +130,29 @@ let profile t ~llc_config bench_index =
     invalid_arg "Context.profile: bad benchmark index";
   Single_flight.get t.profiles (llc_config, bench_index) (fun _ ->
       match cache_path t ~llc_config bench_index with
-      | Some path when Sys.file_exists path ->
-          Registry.incr "profile_cache.hits";
-          Profile.load path
-      | Some path ->
-          Registry.incr "profile_cache.misses";
-          Registry.add "profile_cache.stale"
-            (float_of_int (stale_siblings t ~llc_config bench_index));
-          let p = compute_profile t ~llc_config bench_index in
-          Profile.save p path;
-          p
+      | Some path -> (
+          let cached =
+            if not (Sys.file_exists path) then None
+            else
+              (* The cache is disposable: an entry that does not load is
+                 a miss, and the rebuilt profile replaces it. *)
+              match Profile.load path with
+              | p -> Some p
+              | exception Failure _ ->
+                  Registry.incr "profile_cache.corrupt";
+                  None
+          in
+          match cached with
+          | Some p ->
+              Registry.incr "profile_cache.hits";
+              p
+          | None ->
+              Registry.incr "profile_cache.misses";
+              Registry.add "profile_cache.stale"
+                (float_of_int (stale_siblings t ~llc_config bench_index));
+              let p = compute_profile t ~llc_config bench_index in
+              Profile.save p path;
+              p)
       | None ->
           Registry.incr "profile_cache.misses";
           compute_profile t ~llc_config bench_index)

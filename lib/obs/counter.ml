@@ -31,15 +31,4 @@ let merge a b =
   pour b;
   t
 
-let copy t = merge t (create ())
-let is_empty t = Hashtbl.length t = 0
 let reset t = Hashtbl.reset t
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Format.fprintf ppf "@,";
-      Format.fprintf ppf "%-40s %.0f" name v)
-    (to_alist t);
-  Format.fprintf ppf "@]"

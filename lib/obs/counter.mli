@@ -1,4 +1,3 @@
-(* lint: allow-file S4 counter combinators are obs API surface; external use is optional by design *)
 (** A named counter set: the basic metric container of {!Mppm_obs}.
 
     Counters are float-valued so large event counts and fractional masses
@@ -33,14 +32,5 @@ val merge : t -> t -> t
 (** [merge a b] is a fresh set holding the pointwise sum; inputs are not
     mutated. *)
 
-val copy : t -> t
-(** An independent set with the same values. *)
-
-val is_empty : t -> bool
-(** Whether no counter has ever been touched. *)
-
 val reset : t -> unit
 (** Drop every counter. *)
-
-val pp : Format.formatter -> t -> unit
-(** Multi-line [name value] rendering, sorted by name. *)

@@ -1,4 +1,3 @@
-(* lint: allow-file S4 statistical readouts are obs API surface; external use is optional by design *)
 (** Fixed-bound histograms for telemetry (latency/budget/size
     distributions).
 
@@ -54,6 +53,3 @@ val quantile : t -> float -> float
 val merge : t -> t -> t
 (** Bucket-wise sum of two histograms with identical bounds; raises
     [Invalid_argument] on a bounds mismatch.  Inputs are not mutated. *)
-
-val pp : Format.formatter -> t -> unit
-(** Multi-line [range count] rendering. *)

@@ -1,7 +1,6 @@
-(* Injected-clock profiler: scoped spans with Gc allocation deltas plus
-   the pool's per-task metrics, all behind an option so the null profiler
-   costs one branch and profiled runs stay bit-for-bit identical to
-   unprofiled ones.
+(* Injected-clock profiler: scoped spans plus the pool's per-task
+   metrics, all behind an option so the null profiler costs one branch
+   and profiled runs stay bit-for-bit identical to unprofiled ones.
 
    The clock is caller-supplied (bench/tools/bin inject a monotonic
    wall-clock; tests inject counters), so lib/ never reads wall-clock
@@ -21,7 +20,6 @@ type span = {
   sp_name : string;
   sp_start : float;
   sp_dur : float;
-  sp_alloc_bytes : float;
 }
 
 type task = {
@@ -86,23 +84,19 @@ let clock t = Option.map (fun a -> a.a_clock) t
 
 (* ---- scoped spans ---------------------------------------------------- *)
 
-let record_span a name ~start ~dur ~alloc =
-  let dur = Float.max 0.0 dur and alloc = Float.max 0.0 alloc in
+let record_span a name ~start ~dur =
+  let dur = Float.max 0.0 dur in
   a.a_span_log <-
-    { sp_name = name; sp_start = start; sp_dur = dur; sp_alloc_bytes = alloc }
-    :: a.a_span_log
+    { sp_name = name; sp_start = start; sp_dur = dur } :: a.a_span_log
 
 let time t name f =
   match t with
   | None -> f ()
   | Some a ->
-      let alloc0 = Gc.allocated_bytes () in
       let t0 = a.a_clock () in
       Fun.protect
         ~finally:(fun () ->
-          let dur = a.a_clock () -. t0 in
-          let alloc = Gc.allocated_bytes () -. alloc0 in
-          record_span a name ~start:t0 ~dur ~alloc)
+          record_span a name ~start:t0 ~dur:(a.a_clock () -. t0))
         f
 
 let spans t =

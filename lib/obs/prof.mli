@@ -1,7 +1,5 @@
-(* lint: allow-file S4 profiler readouts are obs API surface; bench/tools consume a task-dependent subset *)
-(** Injected-clock profiling: scoped wall-time spans with Gc allocation
-    deltas, and the domain pool's per-task metrics with duration
-    quantiles.
+(** Injected-clock profiling: scoped wall-time spans, and the domain
+    pool's per-task metrics with duration quantiles.
 
     The clock is {e caller-supplied} ([bench/], [tools/] and [bin/]
     inject [Unix.gettimeofday]; tests inject counters), so [lib/] never
@@ -40,13 +38,11 @@ type span = {
   sp_name : string;  (** span label, e.g. a bench phase name *)
   sp_start : float;  (** clock value at entry *)
   sp_dur : float;  (** elapsed clock, clamped at 0 *)
-  sp_alloc_bytes : float;
-      (** [Gc.allocated_bytes] delta on the recording domain *)
 }
 
 val time : t -> string -> (unit -> 'a) -> 'a
-(** [time t name f] runs [f ()] inside a span: clock and allocation
-    deltas are recorded under [name] whether [f] returns or raises.
+(** [time t name f] runs [f ()] inside a span: the clock delta is
+    recorded under [name] whether [f] returns or raises.
     With {!null} this is exactly [f ()]. *)
 
 val spans : t -> span list

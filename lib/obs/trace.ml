@@ -7,14 +7,4 @@ let enabled t = Option.is_some t
 let emit t thunk =
   match t with None -> () | Some sink -> Sink.emit sink (thunk ())
 
-let instant t ~name ~time fields =
-  match t with
-  | None -> ()
-  | Some sink -> Sink.emit sink (Event.make ~name ~time fields)
-
-let span t ~name ~time ~dur fields =
-  match t with
-  | None -> ()
-  | Some sink -> Sink.emit sink (Event.make ~name ~time ~dur fields)
-
 let close t = match t with None -> () | Some sink -> Sink.close sink

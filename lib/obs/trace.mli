@@ -1,4 +1,3 @@
-(* lint: allow-file S4 emit helpers are the documented obs API even when sinks are attached elsewhere *)
 (** The trace handle threaded through the model core.
 
     [Trace.null] is the default everywhere: with it, every emission point
@@ -23,20 +22,6 @@ val enabled : t -> bool
 val emit : t -> (unit -> Event.t) -> unit
 (** [emit t thunk] forces [thunk] and delivers the event only when a sink
     is attached — the thunk must be side-effect-free on model state. *)
-
-val instant : t -> name:string -> time:float -> (string * Event.value) list -> unit
-(** Build-and-emit convenience for instant events.  Note the field list
-    is evaluated by the caller; prefer {!emit} with a thunk on hot
-    paths. *)
-
-val span :
-  t ->
-  name:string ->
-  time:float ->
-  dur:float ->
-  (string * Event.value) list ->
-  unit
-(** Build-and-emit convenience for span events. *)
 
 val close : t -> unit
 (** Close the underlying sink, if any. *)

@@ -219,7 +219,6 @@ let window t ~start ~count =
   }
 
 let window_cpi w = w.w_cycles /. w.w_instructions
-let window_memory_cpi w = w.w_memory_stall_cycles /. w.w_instructions
 
 let reduce_associativity t ~assoc =
   if assoc > t.llc_assoc then

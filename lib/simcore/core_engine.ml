@@ -86,9 +86,7 @@ let issue_fetches t count =
   while t.fetch_debt >= Generator.instructions_per_fetch do
     t.fetch_debt <- t.fetch_debt - Generator.instructions_per_fetch;
     let addr = Generator.next_fetch t.generator in
-    let packed =
-      Hierarchy.access_packed t.hierarchy ~kind:Hierarchy.Fetch ~addr
-    in
+    let packed = Hierarchy.access t.hierarchy ~kind:Hierarchy.Fetch ~addr in
     let level = Hierarchy.packed_level packed in
     note_llc t level packed;
     match level with
@@ -129,7 +127,7 @@ let step t ~cap =
       | Op.Store -> Hierarchy.Store
     in
     let packed =
-      Hierarchy.access_packed t.hierarchy ~kind ~addr:(Generator.op_addr gen)
+      Hierarchy.access t.hierarchy ~kind ~addr:(Generator.op_addr gen)
     in
     let mlp = phase.Benchmark.mlp in
     let costs = t.costs in

@@ -20,21 +20,18 @@ let default =
   }
 
 (* The L1 hit latency is pipelined away; only latency beyond it can stall. *)
-let extra_latency (result : Hierarchy.result) =
-  float_of_int (max 0 (result.latency - 1))
+let extra_latency latency = float_of_int (max 0 (latency - 1))
 
-let data_stall params ~mlp (result : Hierarchy.result) =
-  match result.hit_level with
+let data_stall params ~mlp ~latency = function
   | Hierarchy.L1 -> 0.0
-  | Hierarchy.L2 -> params.l2_exposure *. extra_latency result
-  | Hierarchy.Llc -> params.llc_exposure *. extra_latency result /. mlp
-  | Hierarchy.Memory -> params.memory_exposure *. extra_latency result /. mlp
+  | Hierarchy.L2 -> params.l2_exposure *. extra_latency latency
+  | Hierarchy.Llc -> params.llc_exposure *. extra_latency latency /. mlp
+  | Hierarchy.Memory -> params.memory_exposure *. extra_latency latency /. mlp
 
-let fetch_stall params (result : Hierarchy.result) =
-  match result.hit_level with
+let fetch_stall params ~latency = function
   | Hierarchy.L1 -> 0.0
   | Hierarchy.L2 | Hierarchy.Llc | Hierarchy.Memory ->
-      params.fetch_exposure *. extra_latency result
+      params.fetch_exposure *. extra_latency latency
 
 let fetch_llc_miss_extra_stall params ~config =
   let llc_latency = config.Hierarchy.llc.latency in
@@ -54,17 +51,16 @@ type stall_costs = {
 }
 
 let stall_costs params ~config =
-  let at hit_level latency =
-    { Hierarchy.latency; hit_level; llc_outcome = None }
-  in
   (* At mlp 1.0 the division is exact, so [data] is the stall's numerator. *)
   let data level =
     data_stall params ~mlp:1.0
-      (at level (Hierarchy.latency config ~kind:Hierarchy.Load level))
+      ~latency:(Hierarchy.latency config ~kind:Hierarchy.Load level)
+      level
   in
   let fetch level =
     fetch_stall params
-      (at level (Hierarchy.latency config ~kind:Hierarchy.Fetch level))
+      ~latency:(Hierarchy.latency config ~kind:Hierarchy.Fetch level)
+      level
   in
   let llc_latency = config.Hierarchy.llc.latency in
   let miss_latency = llc_latency + config.Hierarchy.memory_latency in

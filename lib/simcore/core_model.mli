@@ -26,14 +26,16 @@ type params = {
 val default : params  (* mppm: unit params *)
 (** Calibrated defaults for the Table 1 core. *)
 
-val data_stall : params -> mlp:float -> Mppm_cache.Hierarchy.result -> float  (* mppm: unit mlp:1 -> cycles *)
-(** [data_stall params ~mlp result] is the exposed stall (cycles) of a data
-    access satisfied as [result].  L1 hits stall nothing (their latency is
-    folded into the base CPI); deeper hits expose
-    [exposure * (latency - 1)]; LLC and memory stalls are divided by
-    [mlp]. *)
+val data_stall :  (* mppm: unit mlp:1 -> latency:cycles -> cycles *)
+  params -> mlp:float -> latency:int -> Mppm_cache.Hierarchy.hit_level -> float
+(** [data_stall params ~mlp ~latency level] is the exposed stall (cycles)
+    of a data access satisfied at [level] in [latency] cycles.  L1 hits
+    stall nothing (their latency is folded into the base CPI); deeper hits
+    expose [exposure * (latency - 1)]; LLC and memory stalls are divided
+    by [mlp]. *)
 
-val fetch_stall : params -> Mppm_cache.Hierarchy.result -> float  (* mppm: unit cycles *)
+val fetch_stall :  (* mppm: unit latency:cycles -> cycles *)
+  params -> latency:int -> Mppm_cache.Hierarchy.hit_level -> float
 (** Exposed stall of an instruction fetch. *)
 
 (* mppm: unit mlp:1 -> cycles *)

@@ -80,7 +80,11 @@ let profile ?offset ?compute_scale cfg ~benchmark ~seed ~trace_instructions
     invalid_arg
       "Single_core.profile: trace length must be a positive multiple of the \
        interval length";
-  let sdc_profiler = Sdc_profiler.create cfg.hierarchy.Hierarchy.llc.geometry in
+  let sdc_profiler =
+    Sdc_profiler.create
+      ~assoc:
+        cfg.hierarchy.Hierarchy.llc.geometry.Mppm_cache.Geometry.associativity
+  in
   let engine =
     build_engine ~sdc_profiler ?offset ?compute_scale cfg ~benchmark ~seed
   in

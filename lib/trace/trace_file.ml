@@ -7,14 +7,13 @@ let magic = "mppm-trace v1"
    instructions since the previous reference. *)
 let record_bytes = 13
 
-let write_record oc ~gap (access : Op.access) =
+let write_record oc ~gap ~kind ~addr =
   if gap < 0 || gap > 0x3FFFFFFF then failwith "Trace_file: gap out of range";
   output_binary_int oc gap;
-  output_char oc
-    (match access.Op.kind with Op.Load -> '\000' | Op.Store -> '\001');
+  output_char oc (match kind with Op.Load -> '\000' | Op.Store -> '\001');
   (* 64-bit address, big-endian, via two 32-bit writes. *)
-  output_binary_int oc (access.Op.addr lsr 32);
-  output_binary_int oc (access.Op.addr land 0xFFFFFFFF)
+  output_binary_int oc (addr lsr 32);
+  output_binary_int oc (addr land 0xFFFFFFFF)
 
 let record ~path ~generator ~accesses () =
   if accesses <= 0 then invalid_arg "Trace_file.record: accesses <= 0";
@@ -28,13 +27,17 @@ let record ~path ~generator ~accesses () =
       let gap = ref 0 in
       let start = Generator.retired generator in
       while !written < accesses do
-        let op = Generator.next generator ~cap:max_int in
-        match op.Op.access with
-        | None -> gap := !gap + op.Op.instructions
-        | Some access ->
-            write_record oc ~gap:(!gap + op.Op.instructions - 1) access;
-            gap := 0;
-            incr written
+        Generator.next_in_place generator ~cap:max_int;
+        let instructions = Generator.op_instructions generator in
+        if Generator.op_is_memory generator then begin
+          write_record oc
+            ~gap:(!gap + instructions - 1)
+            ~kind:(Generator.op_kind generator)
+            ~addr:(Generator.op_addr generator);
+          gap := 0;
+          incr written
+        end
+        else gap := !gap + instructions
       done;
       {
         benchmark = name;
@@ -95,13 +98,18 @@ let fold path ~init ~f =
       !acc)
 
 let replay_sdc path ~geometry =
-  let profiler = Mppm_cache.Sdc_profiler.create geometry in
+  let cache = Mppm_cache.Cache.create geometry in
+  let profiler =
+    Mppm_cache.Sdc_profiler.create
+      ~assoc:geometry.Mppm_cache.Geometry.associativity
+  in
   fold path ~init:() ~f:(fun () ~gap:_ access ->
-      ignore (Mppm_cache.Sdc_profiler.access profiler access.Op.addr));
+      Mppm_cache.Sdc_profiler.record_depth profiler
+        (Mppm_cache.Cache.lookup cache access.Op.addr));
   Mppm_cache.Sdc_profiler.lifetime_total profiler
 
 let replay_miss_rate path ~geometry =
   let cache = Mppm_cache.Cache.create geometry in
   fold path ~init:() ~f:(fun () ~gap:_ access ->
-      ignore (Mppm_cache.Cache.access cache access.Op.addr));
+      ignore (Mppm_cache.Cache.lookup cache access.Op.addr));
   Mppm_cache.Cache.miss_rate cache

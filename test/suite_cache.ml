@@ -1,6 +1,7 @@
 (* Tests for mppm_cache: geometry, the cache model (validated against a
-   naive reference LRU), stack-distance counters, the SDC profiler and the
-   hierarchy. *)
+   naive list-based reference under every policy and partition),
+   stack-distance counters, the SDC profiler and the hierarchy (validated
+   against the same reference assembled into levels). *)
 
 module Geometry = Mppm_cache.Geometry
 module Replacement = Mppm_cache.Replacement
@@ -62,33 +63,91 @@ let test_replacement_strings () =
 
 (* ---- Cache: reference-model validation ------------------------------- *)
 
-(* A deliberately naive LRU cache: per set, a list of tags in recency
-   order.  The production cache must agree access for access. *)
-module Reference = struct
-  type t = { geometry : Geometry.t; sets : int list array }
+(* A deliberately naive cache: per set, a list of (tag, owner) lines in
+   recency order (MRU first), plus the insertion order for FIFO.  The
+   victim rules are the documented ones, written without reference to the
+   production cache's arrays.  The production cache must agree access for
+   access, under every policy and partition. *)
+module Model = struct
+  type t = {
+    geometry : Geometry.t;
+    policy : Replacement.t;
+    partition : int array option;
+    rng : Rng.t option;  (* Random: the same draws the cache makes *)
+    sets : (int * int) list array;
+    ages : int list array;  (* FIFO: tags, oldest insertion first *)
+    mutable hits : int;
+    mutable misses : int;
+  }
 
-  let create geometry = { geometry; sets = Array.make geometry.Geometry.num_sets [] }
+  let create ?(policy = Replacement.Lru) ?partition geometry =
+    let n = geometry.Geometry.num_sets in
+    let rng =
+      match policy with
+      | Replacement.Random seed -> Some (Rng.create ~seed)
+      | _ -> None
+    in
+    { geometry; policy; partition; rng; sets = Array.make n [];
+      ages = Array.make n []; hits = 0; misses = 0 }
 
-  let access t addr =
+  let rec position p i = function
+    | [] -> None
+    | x :: rest -> if p x then Some i else position p (i + 1) rest
+
+  (* The recency position a miss evicts from the full set [si]: LRU the
+     last line, FIFO the oldest insertion, Random a drawn position.  Under
+     a partition, an owner at or above its quota evicts its own LRU line;
+     one below it steals the LRU line of an over-quota owner, or the
+     global LRU line if nobody is over. *)
+  let victim t si set ~owner =
+    let ways = t.geometry.Geometry.associativity in
+    let deepest p =
+      Option.map (fun i -> ways - 1 - i) (position p 0 (List.rev set))
+    in
+    match (t.partition, t.policy) with
+    | Some quotas, _ ->
+        let count o = List.length (List.filter (fun (_, o') -> o' = o) set) in
+        Option.value ~default:(ways - 1)
+          (if count owner >= quotas.(owner) then deepest (fun (_, o) -> o = owner)
+           else deepest (fun (_, o) -> count o > quotas.(o)))
+    | None, Replacement.Lru -> ways - 1
+    | None, Replacement.Random _ -> Rng.int (Option.get t.rng) ways
+    | None, Replacement.Fifo ->
+        let oldest = List.hd t.ages.(si) in
+        t.ages.(si) <- List.tl t.ages.(si);
+        Option.get (position (fun (tag, _) -> tag = oldest) 0 set)
+
+  let access_as t ~owner addr =
     let si = Geometry.set_index t.geometry addr in
     let tag = Geometry.tag t.geometry addr in
     let set = t.sets.(si) in
-    let rec position i = function
-      | [] -> None
-      | x :: rest -> if x = tag then Some i else position (i + 1) rest
-    in
-    match position 0 set with
+    let without i = List.filteri (fun j _ -> j <> i) set in
+    match position (fun (x, _) -> x = tag) 0 set with
     | Some pos ->
-        t.sets.(si) <- tag :: List.filter (fun x -> x <> tag) set;
-        Cache.Hit (pos + 1)
+        t.hits <- t.hits + 1;
+        t.sets.(si) <- List.nth set pos :: without pos;
+        pos + 1
     | None ->
-        let truncated =
-          if List.length set >= t.geometry.Geometry.associativity then
-            List.filteri (fun i _ -> i < t.geometry.Geometry.associativity - 1) set
-          else set
-        in
-        t.sets.(si) <- tag :: truncated;
-        Cache.Miss
+        t.misses <- t.misses + 1;
+        let full = List.length set = t.geometry.Geometry.associativity in
+        let kept = if full then without (victim t si set ~owner) else set in
+        (* An unpartitioned cache files every line under owner 0. *)
+        let owner = if t.partition = None then 0 else owner in
+        t.sets.(si) <- (tag, owner) :: kept;
+        if t.policy = Replacement.Fifo then t.ages.(si) <- t.ages.(si) @ [ tag ];
+        0
+
+  let access t addr = access_as t ~owner:0 addr
+
+  let count_lines t p =
+    Array.fold_left (fun n set -> n + List.length (List.filter p set)) 0 t.sets
+
+  let resident_lines t = count_lines t (fun _ -> true)
+  let owner_lines t ~owner = count_lines t (fun (_, o) -> o = owner)
+
+  let probe t addr =
+    let tag = Geometry.tag t.geometry addr in
+    List.exists (fun (x, _) -> x = tag) t.sets.(Geometry.set_index t.geometry addr)
 end
 
 let random_addresses ~seed ~count ~span =
@@ -98,16 +157,15 @@ let random_addresses ~seed ~count ~span =
 let test_cache_matches_reference () =
   let g = small_geometry in
   let cache = Cache.create g in
-  let reference = Reference.create g in
+  let reference = Model.create g in
   let addrs = random_addresses ~seed:5 ~count:20_000 ~span:256 in
   Array.iter
     (fun addr ->
-      let got = Cache.access cache addr in
-      let want = Reference.access reference addr in
+      let got = Cache.lookup cache addr in
+      let want = Model.access reference addr in
       if got <> want then
-        Alcotest.failf "divergence at addr %d: got %s want %s" addr
-          (match got with Cache.Hit d -> Printf.sprintf "hit@%d" d | Cache.Miss -> "miss")
-          (match want with Cache.Hit d -> Printf.sprintf "hit@%d" d | Cache.Miss -> "miss"))
+        Alcotest.failf "divergence at addr %d: got depth %d want %d" addr got
+          want)
     addrs
 
 let test_cache_lru_eviction_order () =
@@ -116,73 +174,69 @@ let test_cache_lru_eviction_order () =
   (* Five conflicting lines in a 4-way set: 0, 256, 512, ... map to set 0. *)
   let line i = i * 4 * 64 in
   for i = 0 to 3 do
-    Alcotest.(check bool) "cold miss" true (Cache.access cache (line i) = Cache.Miss)
+    Alcotest.(check bool) "cold miss" true (Cache.lookup cache (line i) = 0)
   done;
   (* Touch line 0 to refresh it, then insert a fifth line: the LRU victim
      must be line 1. *)
-  Alcotest.(check bool) "refresh hit" true (Cache.access cache (line 0) <> Cache.Miss);
-  Alcotest.(check bool) "fifth line misses" true (Cache.access cache (line 4) = Cache.Miss);
-  Alcotest.(check bool) "line 1 was evicted" true (Cache.access cache (line 1) = Cache.Miss);
-  Alcotest.(check bool) "line 0 survived" true (Cache.access cache (line 0) <> Cache.Miss)
+  Alcotest.(check bool) "refresh hit" true (Cache.lookup cache (line 0) > 0);
+  Alcotest.(check bool) "fifth line misses" true (Cache.lookup cache (line 4) = 0);
+  Alcotest.(check bool) "line 1 was evicted" true (Cache.lookup cache (line 1) = 0);
+  Alcotest.(check bool) "line 0 survived" true (Cache.lookup cache (line 0) > 0)
 
 let test_cache_hit_depth () =
   let cache = Cache.create small_geometry in
-  ignore (Cache.access cache 0);
-  ignore (Cache.access cache (4 * 64));
-  (match Cache.access cache 0 with
-  | Cache.Hit d -> Alcotest.(check int) "second MRU" 2 d
-  | Cache.Miss -> Alcotest.fail "expected hit");
-  match Cache.access cache 0 with
-  | Cache.Hit d -> Alcotest.(check int) "now MRU" 1 d
-  | Cache.Miss -> Alcotest.fail "expected hit"
+  ignore (Cache.lookup cache 0);
+  ignore (Cache.lookup cache (4 * 64));
+  Alcotest.(check int) "second MRU" 2 (Cache.lookup cache 0);
+  Alcotest.(check int) "now MRU" 1 (Cache.lookup cache 0)
 
 let test_cache_stats () =
   let cache = Cache.create small_geometry in
-  ignore (Cache.access cache 0);
-  ignore (Cache.access cache 0);
-  ignore (Cache.access cache 64);
+  ignore (Cache.lookup cache 0);
+  ignore (Cache.lookup cache 0);
+  ignore (Cache.lookup cache 64);
   Alcotest.(check int) "accesses" 3 (Cache.accesses cache);
   Alcotest.(check int) "hits" 1 (Cache.hits cache);
   Alcotest.(check int) "misses" 2 (Cache.misses cache);
   check_float "miss rate" (2.0 /. 3.0) (Cache.miss_rate cache);
   Cache.reset_stats cache;
   Alcotest.(check int) "reset" 0 (Cache.accesses cache);
-  Alcotest.(check bool) "contents survive reset" true (Cache.access cache 0 <> Cache.Miss)
+  Alcotest.(check bool) "contents survive reset" true (Cache.lookup cache 0 > 0)
 
 let test_cache_probe () =
   let cache = Cache.create small_geometry in
   Alcotest.(check bool) "absent" false (Cache.probe cache 0);
-  ignore (Cache.access cache 0);
+  ignore (Cache.lookup cache 0);
   Alcotest.(check bool) "present" true (Cache.probe cache 0);
   Alcotest.(check int) "probe does not count" 1 (Cache.accesses cache)
 
 let test_cache_clear_and_occupancy () =
   let cache = Cache.create small_geometry in
   for i = 0 to 9 do
-    ignore (Cache.access cache (i * 64))
+    ignore (Cache.lookup cache (i * 64))
   done;
   Alcotest.(check int) "resident lines" 10 (Cache.resident_lines cache);
   Cache.clear cache;
   Alcotest.(check int) "cleared" 0 (Cache.resident_lines cache);
-  Alcotest.(check bool) "all cold again" true (Cache.access cache 0 = Cache.Miss)
+  Alcotest.(check bool) "all cold again" true (Cache.lookup cache 0 = 0)
 
 let test_cache_fifo_no_refresh () =
   let cache = Cache.create ~policy:Replacement.Fifo small_geometry in
   let line i = i * 4 * 64 in
   for i = 0 to 3 do
-    ignore (Cache.access cache (line i))
+    ignore (Cache.lookup cache (line i))
   done;
   (* Refresh line 0; under FIFO this must NOT save it from eviction. *)
-  ignore (Cache.access cache (line 0));
-  ignore (Cache.access cache (line 4));
+  ignore (Cache.lookup cache (line 0));
+  ignore (Cache.lookup cache (line 4));
   Alcotest.(check bool) "line 0 evicted despite refresh" true
-    (Cache.access cache (line 0) = Cache.Miss)
+    (Cache.lookup cache (line 0) = 0)
 
 let test_cache_random_bounded () =
   let cache = Cache.create ~policy:(Replacement.Random 3) small_geometry in
   let rng = Rng.create ~seed:11 in
   for _ = 1 to 10_000 do
-    ignore (Cache.access cache (Rng.int rng 64 * 64))
+    ignore (Cache.lookup cache (Rng.int rng 64 * 64))
   done;
   Alcotest.(check bool) "occupancy bounded" true
     (Cache.resident_lines cache <= Geometry.lines small_geometry)
@@ -195,14 +249,14 @@ let test_cache_working_set_behaviour () =
   let fits = Cache.create g in
   for _ = 1 to 10 do
     for i = 0 to lines - 1 do
-      ignore (Cache.access fits (i * 64))
+      ignore (Cache.lookup fits (i * 64))
     done
   done;
   Alcotest.(check int) "fitting set: only cold misses" lines (Cache.misses fits);
   let thrash = Cache.create g in
   for _ = 1 to 10 do
     for i = 0 to (2 * lines) - 1 do
-      ignore (Cache.access thrash (i * 64))
+      ignore (Cache.lookup thrash (i * 64))
     done
   done;
   (* Cyclic sequential at 2x capacity under LRU misses every access. *)
@@ -259,13 +313,14 @@ let test_sdc_reduction_matches_resimulation () =
   let g16 = Geometry.make ~size_bytes:(sets * 16 * 64) ~line_bytes:64 ~associativity:16 in
   let g8 = Geometry.make ~size_bytes:(sets * 8 * 64) ~line_bytes:64 ~associativity:8 in
   Alcotest.(check int) "same set count" g16.Geometry.num_sets g8.Geometry.num_sets;
-  let p16 = Sdc_profiler.create g16 in
-  let p8 = Sdc_profiler.create g8 in
+  let c16 = Cache.create g16 and c8 = Cache.create g8 in
+  let p16 = Sdc_profiler.create ~assoc:16 in
+  let p8 = Sdc_profiler.create ~assoc:8 in
   let addrs = random_addresses ~seed:17 ~count:50_000 ~span:4096 in
   Array.iter
     (fun addr ->
-      ignore (Sdc_profiler.access p16 addr);
-      ignore (Sdc_profiler.access p8 addr))
+      Sdc_profiler.record_depth p16 (Cache.lookup c16 addr);
+      Sdc_profiler.record_depth p8 (Cache.lookup c8 addr))
     addrs;
   let reduced = Sdc.reduce_associativity (Sdc_profiler.lifetime_total p16) ~assoc:8 in
   Alcotest.(check (list (float 1e-9)))
@@ -285,12 +340,13 @@ let test_sdc_errors () =
 (* ---- Sdc_profiler ---------------------------------------------------- *)
 
 let test_profiler_intervals_sum_to_total () =
-  let profiler = Sdc_profiler.create small_geometry in
+  let cache = Cache.create small_geometry in
+  let profiler = Sdc_profiler.create ~assoc:4 in
   let addrs = random_addresses ~seed:23 ~count:5_000 ~span:512 in
   let cuts = ref [] in
   Array.iteri
     (fun i addr ->
-      ignore (Sdc_profiler.access profiler addr);
+      Sdc_profiler.record_depth profiler (Cache.lookup cache addr);
       if (i + 1) mod 1000 = 0 then cuts := Sdc_profiler.cut_interval profiler :: !cuts)
     addrs;
   let total =
@@ -303,17 +359,17 @@ let test_profiler_intervals_sum_to_total () =
   check_float "every access recorded" 5000.0 (Sdc.accesses total)
 
 let test_profiler_depths_match_cache () =
-  (* The profiler's histogram must agree with the cache's reported depths. *)
+  (* The profiler's histogram must agree with the depths it was fed. *)
   let cache = Cache.create small_geometry in
-  let profiler = Sdc_profiler.create small_geometry in
+  let profiler = Sdc_profiler.create ~assoc:4 in
   let addrs = random_addresses ~seed:29 ~count:10_000 ~span:400 in
   let misses = ref 0 and hits_by_depth = Array.make 4 0 in
   Array.iter
     (fun addr ->
-      (match Cache.access cache addr with
-      | Cache.Miss -> incr misses
-      | Cache.Hit d -> hits_by_depth.(d - 1) <- hits_by_depth.(d - 1) + 1);
-      ignore (Sdc_profiler.access profiler addr))
+      let depth = Cache.lookup cache addr in
+      if depth = 0 then incr misses
+      else hits_by_depth.(depth - 1) <- hits_by_depth.(depth - 1) + 1;
+      Sdc_profiler.record_depth profiler depth)
     addrs;
   let sdc = Sdc_profiler.lifetime_total profiler in
   check_float "misses agree" (float_of_int !misses) (Sdc.misses sdc);
@@ -338,16 +394,23 @@ let tiny_hierarchy ?(llc_assoc = 8) () =
     memory_latency = 200;
   }
 
+(* Where [Hierarchy.access] satisfied an access, and in how many cycles. *)
+let access_level h ~kind ~addr =
+  let level = Hierarchy.packed_level (Hierarchy.access h ~kind ~addr) in
+  (level, Hierarchy.latency (Hierarchy.config h) ~kind level)
+
 let test_hierarchy_latencies () =
   let h = Hierarchy.create (tiny_hierarchy ()) in
   (* Cold access goes to memory. *)
-  let r1 = Hierarchy.access h ~kind:Hierarchy.Load ~addr:0 in
-  Alcotest.(check int) "memory latency" 216 r1.Hierarchy.latency;
-  Alcotest.(check bool) "hit level" true (r1.Hierarchy.hit_level = Hierarchy.Memory);
+  let level, latency = access_level h ~kind:Hierarchy.Load ~addr:0 in
+  Alcotest.(check int) "memory latency" 216 latency;
+  Alcotest.(check bool) "hit level" true (level = Hierarchy.Memory);
   (* Immediately again: L1 hit. *)
-  let r2 = Hierarchy.access h ~kind:Hierarchy.Load ~addr:0 in
-  Alcotest.(check int) "l1 latency" 1 r2.Hierarchy.latency;
-  Alcotest.(check bool) "no llc outcome on l1 hit" true (r2.Hierarchy.llc_outcome = None)
+  let packed = Hierarchy.access h ~kind:Hierarchy.Load ~addr:0 in
+  Alcotest.(check int) "l1 latency" 1
+    (Hierarchy.latency (Hierarchy.config h) ~kind:Hierarchy.Load
+       (Hierarchy.packed_level packed));
+  Alcotest.(check int) "no llc depth on l1 hit" 0 (Hierarchy.packed_llc_depth packed)
 
 let test_hierarchy_l2_path () =
   let h = Hierarchy.create (tiny_hierarchy ()) in
@@ -355,15 +418,15 @@ let test_hierarchy_l2_path () =
   ignore (Hierarchy.access h ~kind:Hierarchy.Load ~addr:0);
   ignore (Hierarchy.access h ~kind:Hierarchy.Load ~addr:1024);
   ignore (Hierarchy.access h ~kind:Hierarchy.Load ~addr:2048);
-  let r = Hierarchy.access h ~kind:Hierarchy.Load ~addr:0 in
-  Alcotest.(check bool) "L2 hit" true (r.Hierarchy.hit_level = Hierarchy.L2);
-  Alcotest.(check int) "L2 latency" 10 r.Hierarchy.latency
+  let level, latency = access_level h ~kind:Hierarchy.Load ~addr:0 in
+  Alcotest.(check bool) "L2 hit" true (level = Hierarchy.L2);
+  Alcotest.(check int) "L2 latency" 10 latency
 
 let test_hierarchy_perfect_llc () =
   let h = Hierarchy.create ~perfect_llc:true (tiny_hierarchy ()) in
-  let r = Hierarchy.access h ~kind:Hierarchy.Load ~addr:0 in
-  Alcotest.(check bool) "perfect LLC hits" true (r.Hierarchy.hit_level = Hierarchy.Llc);
-  Alcotest.(check int) "llc latency" 16 r.Hierarchy.latency;
+  let level, latency = access_level h ~kind:Hierarchy.Load ~addr:0 in
+  Alcotest.(check bool) "perfect LLC hits" true (level = Hierarchy.Llc);
+  Alcotest.(check int) "llc latency" 16 latency;
   Alcotest.(check int) "no misses" 0 (Hierarchy.llc_misses h);
   Alcotest.(check int) "counted access" 1 (Hierarchy.llc_accesses h)
 
@@ -372,8 +435,8 @@ let test_hierarchy_fetch_uses_l1i () =
   ignore (Hierarchy.access h ~kind:Hierarchy.Fetch ~addr:0);
   (* The same line via the data side must still miss L1D (separate caches),
      but hit in L2 where the fetch installed it. *)
-  let r = Hierarchy.access h ~kind:Hierarchy.Load ~addr:0 in
-  Alcotest.(check bool) "L2 hit via shared L2" true (r.Hierarchy.hit_level = Hierarchy.L2)
+  let level, _ = access_level h ~kind:Hierarchy.Load ~addr:0 in
+  Alcotest.(check bool) "L2 hit via shared L2" true (level = Hierarchy.L2)
 
 let test_hierarchy_shared_llc () =
   let config = tiny_hierarchy () in
@@ -383,8 +446,8 @@ let test_hierarchy_shared_llc () =
   ignore (Hierarchy.access a ~kind:Hierarchy.Load ~addr:0);
   (* Core B misses its private levels but finds the line in the shared
      LLC. *)
-  let r = Hierarchy.access b ~kind:Hierarchy.Load ~addr:0 in
-  Alcotest.(check bool) "hits shared LLC" true (r.Hierarchy.hit_level = Hierarchy.Llc);
+  let level, _ = access_level b ~kind:Hierarchy.Load ~addr:0 in
+  Alcotest.(check bool) "hits shared LLC" true (level = Hierarchy.Llc);
   Alcotest.(check int) "a's stats" 1 (Hierarchy.llc_misses a);
   Alcotest.(check int) "b's stats" 0 (Hierarchy.llc_misses b)
 
@@ -428,72 +491,73 @@ let test_configs_table1 () =
 
 (* ---- qcheck properties -------------------------------------------------- *)
 
-(* The allocation-free primitives against their wrappers: two identical
-   instances driven in lockstep by the same random stream, one through
-   each entry point, must agree access for access and end in the same
-   state. *)
+(* Hits, misses, occupancy and contents of [cache] equal [model]'s. *)
+let same_state cache model ~owners ~lines =
+  Cache.hits cache = model.Model.hits
+  && Cache.misses cache = model.Model.misses
+  && Cache.resident_lines cache = Model.resident_lines model
+  && List.for_all
+       (fun owner -> Cache.owner_lines cache ~owner = Model.owner_lines model ~owner)
+       (List.init owners Fun.id)
+  && List.for_all
+       (fun line -> Cache.probe cache (line * 64) = Model.probe model (line * 64))
+       (List.init lines Fun.id)
 
-let outcome_of_depth = function 0 -> Cache.Miss | d -> Cache.Hit d
-
-let caches_agree ~policy ?partition ~owners seed =
-  let make () = Cache.create ~policy ?partition small_geometry in
-  let a = make () and b = make () in
+(* The cache against [Model] over a random stream: every access's depth,
+   then the final state. *)
+let cache_matches_model ~policy ?partition ~owners seed =
+  let cache = Cache.create ~policy ?partition small_geometry in
+  let model = Model.create ~policy ?partition small_geometry in
   let rng = Rng.create ~seed in
   let ok = ref true in
   for _ = 1 to 3_000 do
     let owner = Rng.int rng owners and addr = Rng.int rng 64 * 64 in
     let got, want =
-      if partition = None then
-        (Cache.lookup a addr, Cache.access b addr)
-      else (Cache.lookup_as a ~owner addr, Cache.access_as b ~owner addr)
+      if partition = None then (Cache.lookup cache addr, Model.access model addr)
+      else (Cache.lookup_as cache ~owner addr, Model.access_as model ~owner addr)
     in
-    if outcome_of_depth got <> want then ok := false
+    if got <> want then ok := false
   done;
-  !ok
-  && Cache.hits a = Cache.hits b
-  && Cache.misses a = Cache.misses b
-  && Cache.resident_lines a = Cache.resident_lines b
-  && List.for_all
-       (fun owner -> Cache.owner_lines a ~owner = Cache.owner_lines b ~owner)
-       (List.init owners Fun.id)
-  && List.for_all
-       (fun line -> Cache.probe a (line * 64) = Cache.probe b (line * 64))
-       (List.init 64 Fun.id)
+  !ok && same_state cache model ~owners ~lines:64
 
-let small_hierarchy =
-  let level size ways latency =
-    {
-      Hierarchy.geometry =
-        Geometry.make ~size_bytes:size ~line_bytes:64 ~associativity:ways;
-      latency;
-    }
-  in
-  {
-    Hierarchy.l1i = level 512 2 1;
-    l1d = level 1024 2 2;
-    l2 = level 2048 4 10;
-    llc = level 8192 8 30;
-    memory_latency = 200;
-  }
+(* One core's hierarchy built from [Model] caches: L1 (instruction or data
+   side), then L2, then the LLC (none needed when perfect), then memory.
+   Returns where an access was satisfied and its LLC depth. *)
+let hierarchy_model ~llc ~owner ~perfect_llc config =
+  let l1i = Model.create config.Hierarchy.l1i.Hierarchy.geometry in
+  let l1d = Model.create config.Hierarchy.l1d.Hierarchy.geometry in
+  let l2 = Model.create config.Hierarchy.l2.Hierarchy.geometry in
+  fun ~kind addr ->
+    let l1 = if kind = Hierarchy.Fetch then l1i else l1d in
+    if Model.access l1 addr > 0 then (Hierarchy.L1, 0)
+    else if Model.access l2 addr > 0 then (Hierarchy.L2, 0)
+    else
+      let depth = if perfect_llc then 1 else Model.access_as llc ~owner addr in
+      ((if depth > 0 then Hierarchy.Llc else Hierarchy.Memory), depth)
 
-(* Two cores per side share a way-partitioned LLC (or each has a private
-   or perfect one); side [a] goes through [access_packed], side [b]
-   through [access]. *)
-let hierarchies_agree ~shared ~perfect_llc seed =
-  let side () =
-    let llc =
-      if shared then
-        Some (Cache.create ~partition:[| 3; 5 |] small_hierarchy.Hierarchy.llc.Hierarchy.geometry)
-      else None
-    in
+(* Two cores share a way-partitioned LLC (or each has a private or perfect
+   one); each core's [Hierarchy.access] must match its model access for
+   access, count the same LLC accesses and misses, and leave its LLC in
+   the model's state. *)
+let hierarchy_matches_model ~shared ~perfect_llc seed =
+  let config = tiny_hierarchy () in
+  let geometry = config.Hierarchy.llc.Hierarchy.geometry in
+  let partition = if shared then Some [| 3; 5 |] else None in
+  let shared_llc = Option.map (fun p -> Cache.create ~partition:p geometry) partition in
+  let shared_model = Model.create ?partition geometry in
+  let cores =
     Array.init 2 (fun owner ->
-        Hierarchy.create ?llc ~llc_owner:owner ~perfect_llc small_hierarchy)
+        let llc = if shared then shared_model else Model.create geometry in
+        ( Hierarchy.create ?llc:shared_llc ~llc_owner:owner ~perfect_llc config,
+          hierarchy_model ~llc ~owner ~perfect_llc config,
+          llc ))
   in
-  let a = side () and b = side () in
+  let llc_accesses = Array.make 2 0 and llc_misses = Array.make 2 0 in
   let rng = Rng.create ~seed in
   let ok = ref true in
   for _ = 1 to 4_000 do
     let core = Rng.int rng 2 in
+    let h, model, _ = cores.(core) in
     let kind =
       match Rng.int rng 3 with
       | 0 -> Hierarchy.Fetch
@@ -501,52 +565,46 @@ let hierarchies_agree ~shared ~perfect_llc seed =
       | _ -> Hierarchy.Store
     in
     let addr = Rng.int rng 512 * 64 in
-    let packed = Hierarchy.access_packed a.(core) ~kind ~addr in
-    let level = Hierarchy.packed_level packed in
-    let depth = Hierarchy.packed_llc_depth packed in
-    let r = Hierarchy.access b.(core) ~kind ~addr in
-    let outcome =
-      match level with
-      | Hierarchy.L1 | Hierarchy.L2 -> None
-      | Hierarchy.Llc -> Some (Cache.Hit depth)
-      | Hierarchy.Memory -> Some Cache.Miss
-    in
-    if
-      level <> r.Hierarchy.hit_level
-      || Hierarchy.latency small_hierarchy ~kind level <> r.Hierarchy.latency
-      || outcome <> r.Hierarchy.llc_outcome
-      || (level <> Hierarchy.Llc && depth <> 0)
+    let packed = Hierarchy.access h ~kind ~addr in
+    let level, depth = model ~kind addr in
+    if level = Hierarchy.Llc || level = Hierarchy.Memory then
+      llc_accesses.(core) <- llc_accesses.(core) + 1;
+    if level = Hierarchy.Memory then llc_misses.(core) <- llc_misses.(core) + 1;
+    if Hierarchy.packed_level packed <> level || Hierarchy.packed_llc_depth packed <> depth
     then ok := false
   done;
   !ok
-  && Array.for_all2
-       (fun x y ->
-         Hierarchy.llc_accesses x = Hierarchy.llc_accesses y
-         && Hierarchy.llc_misses x = Hierarchy.llc_misses y
-         && Hierarchy.counters x = Hierarchy.counters y)
-       a b
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun core (h, _, llc) ->
+            Hierarchy.llc_accesses h = llc_accesses.(core)
+            && Hierarchy.llc_misses h = llc_misses.(core)
+            && same_state (Hierarchy.llc h) llc ~owners:2 ~lines:512)
+          cores)
 
 let qcheck_tests =
   let open QCheck in
   [
     Test.make ~name:"lookup = access (LRU)" ~count:50 small_int
-      (caches_agree ~policy:Replacement.Lru ~owners:1);
+      (cache_matches_model ~policy:Replacement.Lru ~owners:1);
     Test.make ~name:"lookup = access (FIFO)" ~count:50 small_int
-      (caches_agree ~policy:Replacement.Fifo ~owners:1);
+      (cache_matches_model ~policy:Replacement.Fifo ~owners:1);
     Test.make ~name:"lookup = access (Random seed)" ~count:50
       (pair small_int small_int)
       (fun (policy_seed, seed) ->
-        caches_agree ~policy:(Replacement.Random policy_seed) ~owners:1 seed);
+        cache_matches_model ~policy:(Replacement.Random policy_seed) ~owners:1
+          seed);
     Test.make ~name:"lookup_as = access_as (way-partitioned)" ~count:50
       small_int
-      (caches_agree ~policy:Replacement.Lru ~partition:[| 1; 2; 1 |] ~owners:3);
-    Test.make ~name:"access_packed = access (private LLC)" ~count:30 small_int
-      (hierarchies_agree ~shared:false ~perfect_llc:false);
-    Test.make ~name:"access_packed = access (perfect LLC)" ~count:30 small_int
-      (hierarchies_agree ~shared:false ~perfect_llc:true);
-    Test.make ~name:"access_packed = access (shared partitioned LLC)" ~count:30
+      (cache_matches_model ~policy:Replacement.Lru ~partition:[| 1; 2; 1 |]
+         ~owners:3);
+    Test.make ~name:"hierarchy = model (private LLC)" ~count:30 small_int
+      (hierarchy_matches_model ~shared:false ~perfect_llc:false);
+    Test.make ~name:"hierarchy = model (perfect LLC)" ~count:30 small_int
+      (hierarchy_matches_model ~shared:false ~perfect_llc:true);
+    Test.make ~name:"hierarchy = model (shared partitioned LLC)" ~count:30
       small_int
-      (hierarchies_agree ~shared:true ~perfect_llc:false);
+      (hierarchy_matches_model ~shared:true ~perfect_llc:false);
     Test.make ~name:"hit depth never exceeds associativity" ~count:50
       small_int
       (fun seed ->
@@ -554,9 +612,8 @@ let qcheck_tests =
         let rng = Rng.create ~seed in
         let ok = ref true in
         for _ = 1 to 2000 do
-          match Cache.access cache (Rng.int rng 1024 * 64) with
-          | Cache.Hit d -> if d < 1 || d > 4 then ok := false
-          | Cache.Miss -> ()
+          let d = Cache.lookup cache (Rng.int rng 1024 * 64) in
+          if d < 0 || d > 4 then ok := false
         done;
         !ok);
     Test.make ~name:"misses_with_ways is monotone decreasing" ~count:200
@@ -578,8 +635,8 @@ let qcheck_tests =
         let rng = Rng.create ~seed in
         for _ = 1 to 5000 do
           let addr = Rng.int rng 512 * 64 in
-          ignore (Cache.access c8 addr);
-          ignore (Cache.access c4 addr)
+          ignore (Cache.lookup c8 addr);
+          ignore (Cache.lookup c4 addr)
         done;
         Cache.misses c4 >= Cache.misses c8);
   ]

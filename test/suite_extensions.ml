@@ -37,7 +37,7 @@ let test_partition_validation () =
            part_geometry));
   let cache = Cache.create ~partition:[| 2; 2 |] part_geometry in
   Alcotest.(check bool) "owner out of range" true
-    (invalid (fun () -> Cache.access_as cache ~owner:2 0))
+    (invalid (fun () -> Cache.lookup_as cache ~owner:2 0))
 
 let test_partition_steady_state_quotas () =
   (* Two owners streaming conflicting lines through one 4-way set: each
@@ -45,8 +45,8 @@ let test_partition_steady_state_quotas () =
   let cache = Cache.create ~partition:[| 2; 2 |] part_geometry in
   let line i = i * 64 in
   for round = 0 to 63 do
-    ignore (Cache.access_as cache ~owner:0 (line (round mod 8)));
-    ignore (Cache.access_as cache ~owner:1 (line (64 + (round mod 8))))
+    ignore (Cache.lookup_as cache ~owner:0 (line (round mod 8)));
+    ignore (Cache.lookup_as cache ~owner:1 (line (64 + (round mod 8))))
   done;
   Alcotest.(check int) "owner 0 holds its quota" 2 (Cache.owner_lines cache ~owner:0);
   Alcotest.(check int) "owner 1 holds its quota" 2 (Cache.owner_lines cache ~owner:1)
@@ -56,19 +56,19 @@ let test_partition_protects_victim () =
      plain LRU owner 0 would lose everything; under 2/2 partition its lines
      survive. *)
   let cache = Cache.create ~partition:[| 2; 2 |] part_geometry in
-  ignore (Cache.access_as cache ~owner:0 0);
-  ignore (Cache.access_as cache ~owner:0 64);
+  ignore (Cache.lookup_as cache ~owner:0 0);
+  ignore (Cache.lookup_as cache ~owner:0 64);
   for i = 0 to 99 do
-    ignore (Cache.access_as cache ~owner:1 ((i + 10) * 64))
+    ignore (Cache.lookup_as cache ~owner:1 ((i + 10) * 64))
   done;
   Alcotest.(check bool) "line 0 survived" true (Cache.probe cache 0);
   Alcotest.(check bool) "line 64 survived" true (Cache.probe cache 64);
   (* Control: same traffic on an unpartitioned cache evicts them. *)
   let shared = Cache.create part_geometry in
-  ignore (Cache.access_as shared ~owner:0 0);
-  ignore (Cache.access_as shared ~owner:0 64);
+  ignore (Cache.lookup_as shared ~owner:0 0);
+  ignore (Cache.lookup_as shared ~owner:0 64);
   for i = 0 to 99 do
-    ignore (Cache.access_as shared ~owner:1 ((i + 10) * 64))
+    ignore (Cache.lookup_as shared ~owner:1 ((i + 10) * 64))
   done;
   Alcotest.(check bool) "unpartitioned control loses the lines" false
     (Cache.probe shared 0)
@@ -78,13 +78,13 @@ let test_partition_under_quota_can_borrow () =
      hold more than its quota until the other owner claims lines. *)
   let cache = Cache.create ~partition:[| 1; 1 |] part_geometry in
   for i = 0 to 3 do
-    ignore (Cache.access_as cache ~owner:0 (i * 64))
+    ignore (Cache.lookup_as cache ~owner:0 (i * 64))
   done;
   Alcotest.(check int) "borrows all ways while alone" 4
     (Cache.owner_lines cache ~owner:0);
   (* Owner 1 arrives: it must be able to claim a line (owner 0 is over
      quota). *)
-  ignore (Cache.access_as cache ~owner:1 (100 * 64));
+  ignore (Cache.lookup_as cache ~owner:1 (100 * 64));
   Alcotest.(check int) "newcomer claims a way" 1 (Cache.owner_lines cache ~owner:1);
   Alcotest.(check int) "incumbent shrinks" 3 (Cache.owner_lines cache ~owner:0)
 

@@ -10,8 +10,8 @@
    and rank is a deterministic function of the context seed.
 
    Daemon (when the built executables are visible): mppmd answers eight
-   concurrent clients — pipelined, split-write and garbage frames
-   included — byte-identically to the one-shot CLI, for --jobs 1 and
+   concurrent clients — pipelined, split-write, boundary-straddling and
+   garbage frames included — byte-identically to the one-shot CLI, for --jobs 1 and
    --jobs 4 alike, and the loadgen harness passes its own --check. *)
 
 module Wire = Mppm_serve.Wire
@@ -405,6 +405,9 @@ let start_daemon exe ~jobs ~cache ~idx =
 let connect daemon =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX daemon.sock);
+  (* A missing answer fails the test (and gets the daemon killed) instead
+     of hanging it. *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
   fd
 
 let request_daemon daemon req =
@@ -492,6 +495,37 @@ let test_daemon_end_to_end () =
           Alcotest.(check string) "pipelined 1" expect_a (response_text (read_frame fd));
           Alcotest.(check string) "pipelined 2" expect_b (response_text (read_frame fd));
           Alcotest.(check string) "pipelined 3" expect_a (response_text (read_frame fd));
+          Unix.close fd;
+          (* Many pipelined frames written in 7-byte chunks that straddle
+             frame boundaries: every answer comes back, in order,
+             byte-equal to the in-process handler's. *)
+          let ctx = Context.create ~seed:7 ~cache_dir:cache tiny_scale in
+          let reqs =
+            List.init 24 (fun i ->
+                Wire.Predict
+                  { names = (if i mod 3 = 1 then mix_b else mix_a); llc_config = 1 })
+          in
+          let stream =
+            String.concat ""
+              (List.map (fun r -> Wire.frame (Wire.encode_request r)) reqs)
+          in
+          let fd = connect daemon in
+          let rec send off =
+            if off < String.length stream then begin
+              let n = min 7 (String.length stream - off) in
+              write_all fd (String.sub stream off n);
+              Unix.sleepf 0.001;
+              send (off + n)
+            end
+          in
+          send 0;
+          List.iteri
+            (fun i req ->
+              Alcotest.(check string)
+                (Printf.sprintf "straddled frame %d" i)
+                (Wire.encode_response (Dispatch.handle ctx req))
+                (read_frame fd))
+            reqs;
           Unix.close fd;
           (* A version-corrupted request is answered with a structured
              error and the connection survives for the next query. *)

@@ -18,46 +18,34 @@ let check_close eps = Alcotest.(check (float eps))
 
 let baseline = Configs.baseline ()
 
-let result ~latency ~hit_level : Hierarchy.result =
-  { Hierarchy.latency; hit_level; llc_outcome = None }
-
 (* ---- Core_model --------------------------------------------------------- *)
 
 let test_stall_l1_free () =
   check_close 1e-9 "L1 hits are free" 0.0
-    (Core_model.data_stall Core_model.default ~mlp:1.0
-       (result ~latency:1 ~hit_level:Hierarchy.L1))
+    (Core_model.data_stall Core_model.default ~mlp:1.0 ~latency:1 Hierarchy.L1)
 
 let test_stall_levels () =
   let p = Core_model.default in
   check_close 1e-9 "L2" (p.Core_model.l2_exposure *. 9.0)
-    (Core_model.data_stall p ~mlp:1.0 (result ~latency:10 ~hit_level:Hierarchy.L2));
+    (Core_model.data_stall p ~mlp:1.0 ~latency:10 Hierarchy.L2);
   check_close 1e-9 "LLC" (p.Core_model.llc_exposure *. 15.0)
-    (Core_model.data_stall p ~mlp:1.0 (result ~latency:16 ~hit_level:Hierarchy.Llc));
+    (Core_model.data_stall p ~mlp:1.0 ~latency:16 Hierarchy.Llc);
   check_close 1e-9 "memory" (p.Core_model.memory_exposure *. 215.0)
-    (Core_model.data_stall p ~mlp:1.0 (result ~latency:216 ~hit_level:Hierarchy.Memory))
+    (Core_model.data_stall p ~mlp:1.0 ~latency:216 Hierarchy.Memory)
 
 let test_stall_mlp_divides_offcore () =
   let p = Core_model.default in
-  let at mlp =
-    Core_model.data_stall p ~mlp (result ~latency:216 ~hit_level:Hierarchy.Memory)
-  in
+  let at mlp = Core_model.data_stall p ~mlp ~latency:216 Hierarchy.Memory in
   check_close 1e-9 "mlp halves stall" (at 1.0 /. 2.0) (at 2.0);
   (* ...but not L2 stalls, which are not off-core. *)
-  let l2 mlp =
-    Core_model.data_stall p ~mlp (result ~latency:10 ~hit_level:Hierarchy.L2)
-  in
+  let l2 mlp = Core_model.data_stall p ~mlp ~latency:10 Hierarchy.L2 in
   check_close 1e-9 "L2 unaffected by mlp" (l2 1.0) (l2 4.0)
 
 let test_llc_miss_extra_is_difference () =
   let p = Core_model.default in
   let mlp = 1.7 in
-  let memory_stall =
-    Core_model.data_stall p ~mlp (result ~latency:216 ~hit_level:Hierarchy.Memory)
-  in
-  let llc_hit_stall =
-    Core_model.data_stall p ~mlp (result ~latency:16 ~hit_level:Hierarchy.Llc)
-  in
+  let memory_stall = Core_model.data_stall p ~mlp ~latency:216 Hierarchy.Memory in
+  let llc_hit_stall = Core_model.data_stall p ~mlp ~latency:16 Hierarchy.Llc in
   check_close 1e-9 "extra = memory - hit"
     (memory_stall -. llc_hit_stall)
     (Core_model.llc_miss_extra_stall p ~config:baseline ~mlp)
@@ -65,10 +53,10 @@ let test_llc_miss_extra_is_difference () =
 let test_fetch_stall () =
   let p = Core_model.default in
   check_close 1e-9 "fetch L1 free" 0.0
-    (Core_model.fetch_stall p (result ~latency:1 ~hit_level:Hierarchy.L1));
+    (Core_model.fetch_stall p ~latency:1 Hierarchy.L1);
   check_close 1e-9 "fetch memory"
     (p.Core_model.fetch_exposure *. 215.0)
-    (Core_model.fetch_stall p (result ~latency:216 ~hit_level:Hierarchy.Memory));
+    (Core_model.fetch_stall p ~latency:216 Hierarchy.Memory);
   check_close 1e-9 "fetch extra"
     (p.Core_model.fetch_exposure *. 200.0)
     (Core_model.fetch_llc_miss_extra_stall p ~config:baseline)
@@ -265,7 +253,9 @@ let test_step_allocates_nothing () =
       ( "lbm, profiled",
         engine "lbm"
           ~sdc_profiler:
-            (Mppm_cache.Sdc_profiler.create baseline.Hierarchy.llc.Hierarchy.geometry)
+            (Mppm_cache.Sdc_profiler.create
+               ~assoc:
+                 baseline.Hierarchy.llc.Hierarchy.geometry.Geometry.associativity)
       );
     ]
 
@@ -304,28 +294,21 @@ let test_stall_costs_bit_identical =
         }
       in
       let c = Core_model.stall_costs p ~config in
-      let at hit_level =
-        {
-          Hierarchy.latency = Hierarchy.latency config ~kind:Hierarchy.Load hit_level;
-          hit_level;
-          llc_outcome = None;
-        }
-      in
+      let latency level = Hierarchy.latency config ~kind:Hierarchy.Load level in
+      let data level = Core_model.data_stall p ~mlp ~latency:(latency level) level in
+      let fetch level = Core_model.fetch_stall p ~latency:(latency level) level in
       let llc_latency = config.Hierarchy.llc.Hierarchy.latency in
       let miss_latency = llc_latency + config.Hierarchy.memory_latency in
-      same c.Core_model.data_l2 (Core_model.data_stall p ~mlp (at Hierarchy.L2))
-      && same (c.Core_model.data_llc_mlp /. mlp)
-           (Core_model.data_stall p ~mlp (at Hierarchy.Llc))
-      && same (c.Core_model.data_memory_mlp /. mlp)
-           (Core_model.data_stall p ~mlp (at Hierarchy.Memory))
+      same c.Core_model.data_l2 (data Hierarchy.L2)
+      && same (c.Core_model.data_llc_mlp /. mlp) (data Hierarchy.Llc)
+      && same (c.Core_model.data_memory_mlp /. mlp) (data Hierarchy.Memory)
       && same
            ((c.Core_model.miss_memory_mlp /. mlp) -. (c.Core_model.miss_llc_mlp /. mlp))
            ((memory_exposure *. float_of_int (miss_latency - 1) /. mlp)
            -. (llc_exposure *. float_of_int (llc_latency - 1) /. mlp))
-      && same c.Core_model.fetch_l2 (Core_model.fetch_stall p (at Hierarchy.L2))
-      && same c.Core_model.fetch_llc (Core_model.fetch_stall p (at Hierarchy.Llc))
-      && same c.Core_model.fetch_memory
-           (Core_model.fetch_stall p (at Hierarchy.Memory))
+      && same c.Core_model.fetch_l2 (fetch Hierarchy.L2)
+      && same c.Core_model.fetch_llc (fetch Hierarchy.Llc)
+      && same c.Core_model.fetch_memory (fetch Hierarchy.Memory)
       && same c.Core_model.fetch_miss_extra
            (Core_model.fetch_llc_miss_extra_stall p ~config))
 

@@ -393,13 +393,15 @@ let test_trace_replay_sdc_matches_live () =
           ~associativity:8
       in
       (* Live profiling of the same stream. *)
-      let live = Sdc_profiler.create geometry in
+      let cache = Mppm_cache.Cache.create geometry in
+      let live = Sdc_profiler.create ~assoc:8 in
       let g = Generator.create ~seed bench in
       let seen = ref 0 in
       while !seen < 20_000 do
         match (Generator.next g ~cap:max_int).Op.access with
         | Some a ->
-            ignore (Sdc_profiler.access live a.Op.addr);
+            Sdc_profiler.record_depth live
+              (Mppm_cache.Cache.lookup cache a.Op.addr);
             incr seen
         | None -> ()
       done;
@@ -408,6 +410,29 @@ let test_trace_replay_sdc_matches_live () =
         "replayed SDC = live SDC"
         (Mppm_cache.Sdc.to_list (Sdc_profiler.lifetime_total live))
         (Mppm_cache.Sdc.to_list replayed))
+
+(* Pinned values: the recorded file's bytes, its replayed SDC and its
+   miss rate on the default trace-stats geometry are the on-disk format
+   and the trace-stats output, so no change to recording or replay may
+   move them. *)
+let test_trace_pinned_bytes () =
+  with_temp_trace (fun path ->
+      ignore
+        (Trace_file.record ~path
+           ~generator:(Generator.create ~seed:3 (Suite.find "gamess"))
+           ~accesses:5_000 ());
+      Alcotest.(check string) "file digest" "219a5381070c480bea420fc91433c3a0"
+        (Digest.to_hex (Digest.file path));
+      let geometry =
+        Geometry.make ~size_bytes:(Geometry.kib 512) ~line_bytes:64
+          ~associativity:8
+      in
+      Alcotest.(check (list (float 0.0)))
+        "replayed SDC"
+        [ 1773.0; 937.0; 136.0; 15.0; 0.0; 0.0; 0.0; 0.0; 2139.0 ]
+        (Mppm_cache.Sdc.to_list (Trace_file.replay_sdc path ~geometry));
+      Alcotest.(check (float 0.0)) "replayed miss rate" (2139.0 /. 5000.0)
+        (Trace_file.replay_miss_rate path ~geometry))
 
 let test_trace_miss_rate_monotone_in_size () =
   with_temp_trace (fun path ->
@@ -513,6 +538,7 @@ let tests =
         Alcotest.test_case "truncation detected" `Quick test_trace_meta_detects_truncation;
         Alcotest.test_case "replayed SDC = live" `Quick test_trace_replay_sdc_matches_live;
         Alcotest.test_case "miss rate monotone" `Quick test_trace_miss_rate_monotone_in_size;
+        Alcotest.test_case "pinned bytes" `Quick test_trace_pinned_bytes;
       ] );
     ("trace.properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]

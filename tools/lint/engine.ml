@@ -18,7 +18,8 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let scanned_dirs = [ "lib"; "bin"; "bench"; "tools"; "test"; "examples" ]
+let scanned_dirs =
+  [ "lib"; "bin"; "bench"; "tools"; "test"; "examples"; "perfbench" ]
 
 let skip_dir name =
   name = "_build" || name = "_profile_cache"
